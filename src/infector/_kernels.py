@@ -1,154 +1,48 @@
-"""Hot numeric kernels.
+"""Shortest-path kernel of the forward engine.
 
-The label-setting shortest-path kernel dominates the runtime of eager
-epidemic runs, so it is compiled with numba when available.  Setting the
-environment variable ``INFECTOR_NO_NUMBA=1`` (or running without numba
-installed) selects a pure-Python fallback with identical semantics,
-including the deterministic smaller-id predecessor tie-break.
+Distances come from ``scipy.sparse.csgraph.dijkstra``; predecessors
+come from one vectorised pass over the tight edges, which keeps the
+deterministic smaller-id predecessor tie-break.
 """
 
 from __future__ import annotations
 
-import heapq
-import os
-
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
+
+from .errors import DomainError
 
 __all__ = ["dijkstra", "NUMBA_ENABLED"]
 
-_DISABLED = os.environ.get("INFECTOR_NO_NUMBA", "").strip() not in ("", "0")
-
+# No compiled kernel exists; the constant is kept for tools that report it.
 NUMBA_ENABLED = False
-if not _DISABLED:
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover
-        NUMBA_ENABLED = False
-
-
-def _dijkstra_py(indptr, heads, weights, sources):
-    n = len(indptr) - 1
-    dist = np.full(n, np.inf)
-    pred = np.full(n, -1, dtype=np.int64)
-    done = np.zeros(n, dtype=bool)
-    heap = []
-    for s in sources:
-        dist[s] = 0.0
-        heapq.heappush(heap, (0.0, int(s)))
-    while heap:
-        d, u = heapq.heappop(heap)
-        if done[u] or d > dist[u]:
-            continue
-        done[u] = True
-        for e in range(indptr[u], indptr[u + 1]):
-            v = heads[e]
-            nd = d + weights[e]
-            if nd < dist[v]:
-                dist[v] = nd
-                pred[v] = u
-                heapq.heappush(heap, (nd, int(v)))
-            elif nd == dist[v] and not done[v] and (pred[v] == -1 or u < pred[v]):
-                pred[v] = u
-    return dist, pred
-
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True, nogil=True)
-    def _dijkstra_nb(indptr, heads, weights, sources):  # pragma: no cover - jitted
-        n = len(indptr) - 1
-        dist = np.full(n, np.inf)
-        pred = np.full(n, -1, dtype=np.int64)
-        done = np.zeros(n, dtype=np.bool_)
-        cap = max(16, len(sources) * 2)
-        hkey = np.empty(cap, dtype=np.float64)
-        hval = np.empty(cap, dtype=np.int64)
-        size = 0
-        for si in range(len(sources)):
-            s = sources[si]
-            dist[s] = 0.0
-            # push (0, s)
-            hkey[size] = 0.0
-            hval[size] = s
-            size += 1
-            c = size - 1
-            while c > 0:
-                parent = (c - 1) // 2
-                if hkey[c] < hkey[parent] or (hkey[c] == hkey[parent] and hval[c] < hval[parent]):
-                    hkey[c], hkey[parent] = hkey[parent], hkey[c]
-                    hval[c], hval[parent] = hval[parent], hval[c]
-                    c = parent
-                else:
-                    break
-        while size > 0:
-            d = hkey[0]
-            u = hval[0]
-            size -= 1
-            hkey[0] = hkey[size]
-            hval[0] = hval[size]
-            c = 0
-            while True:
-                l = 2 * c + 1
-                r = l + 1
-                best = c
-                if l < size and (hkey[l] < hkey[best] or (hkey[l] == hkey[best] and hval[l] < hval[best])):
-                    best = l
-                if r < size and (hkey[r] < hkey[best] or (hkey[r] == hkey[best] and hval[r] < hval[best])):
-                    best = r
-                if best == c:
-                    break
-                hkey[c], hkey[best] = hkey[best], hkey[c]
-                hval[c], hval[best] = hval[best], hval[c]
-                c = best
-            if done[u] or d > dist[u]:
-                continue
-            done[u] = True
-            for e in range(indptr[u], indptr[u + 1]):
-                v = heads[e]
-                nd = d + weights[e]
-                if nd < dist[v]:
-                    dist[v] = nd
-                    pred[v] = u
-                    if size >= cap:
-                        new_cap = cap * 2
-                        nk = np.empty(new_cap, dtype=np.float64)
-                        nv = np.empty(new_cap, dtype=np.int64)
-                        nk[:size] = hkey[:size]
-                        nv[:size] = hval[:size]
-                        hkey, hval, cap = nk, nv, new_cap
-                    hkey[size] = nd
-                    hval[size] = v
-                    size += 1
-                    c = size - 1
-                    while c > 0:
-                        parent = (c - 1) // 2
-                        if hkey[c] < hkey[parent] or (
-                            hkey[c] == hkey[parent] and hval[c] < hval[parent]
-                        ):
-                            hkey[c], hkey[parent] = hkey[parent], hkey[c]
-                            hval[c], hval[parent] = hval[parent], hval[c]
-                            c = parent
-                        else:
-                            break
-                elif nd == dist[v] and not done[v]:
-                    if pred[v] == -1 or u < pred[v]:
-                        pred[v] = u
-        return dist, pred
 
 
 def dijkstra(indptr, heads, weights, sources):
     """Multi-source shortest paths with predecessors on a CSR graph.
 
     Returns (dist, pred); sources have dist 0 and pred -1, unreachable
-    vertices have dist inf and pred -1.  Equal-length relaxations keep
-    the smaller predecessor id.
+    vertices have dist inf and pred -1.  The predecessor of v is the
+    smallest u over the tight edges ``dist[u] + w == dist[v]``.  Edge
+    weights must be positive: a zero-length edge would make that rule
+    ambiguous between vertices at equal distance.
     """
-    indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-    heads = np.ascontiguousarray(heads, dtype=np.int64)
-    weights = np.ascontiguousarray(weights, dtype=np.float64)
-    sources = np.ascontiguousarray(sources, dtype=np.int64)
-    if NUMBA_ENABLED:
-        return _dijkstra_nb(indptr, heads, weights, sources)
-    return _dijkstra_py(indptr, heads, weights, sources)
+    indptr = np.asarray(indptr, dtype=np.int64)
+    heads = np.asarray(heads, dtype=np.int64)
+    weights = np.asarray(weights, dtype=np.float64)
+    sources = np.asarray(sources, dtype=np.int64)
+    n = len(indptr) - 1
+    if weights.size and not weights.min() > 0:
+        raise DomainError("edge weights must be positive")
+    graph = csr_matrix((weights, heads, indptr), shape=(n, n))
+    dist = _csgraph_dijkstra(graph, indices=sources, min_only=True)
+
+    tails = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    d_tail = dist[tails]
+    tight = np.isfinite(d_tail) & (d_tail + weights == dist[heads])
+    pred = np.full(n, n, dtype=np.int64)
+    np.minimum.at(pred, heads[tight], tails[tight])
+    pred[pred == n] = -1
+    pred[sources] = -1
+    return dist, pred

@@ -2,19 +2,21 @@
 
 The susceptibility set of v collects every vertex with a directed path
 to v; its time-t slice keeps paths of length at most t.  On a
-materialized graph this is reverse-graph label-setting, which is
-law-equivalent to the incremental reveal used for coupling arguments;
-the reveal's flag events survive here only as a diagnostic collision
-counter.
+materialized graph this is a shortest-path search on the transposed
+graph (``scipy.sparse.csgraph.dijkstra`` with a distance limit), which
+is law-equivalent to the incremental reveal used for coupling
+arguments; the reveal's flag events survive here only as a diagnostic
+collision counter.  Restricted sets are breadth-first reachable sets
+of a masked transposed graph.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
 from .errors import DomainError, OutOfHorizonError
 from .graph import EpidemicGraph
@@ -52,51 +54,48 @@ def default_t_star(n: int, alpha: float, kappa: float = 0.5) -> float:
     return (1.0 - kappa) / 4.0 * math.log(n) / alpha
 
 
-def explore_susceptibility(graph: EpidemicGraph, v: int, t_star: float) -> SusceptibilitySnapshot:
-    """Reverse label-setting from v, settling vertices with distance <= t_star.
+def _row_entries(indptr, rows):
+    """Positions in a CSR edge array of every entry of ``rows``, and their rows."""
+    lo = indptr[rows]
+    counts = indptr[rows + 1] - lo
+    owner = np.repeat(rows, counts)
+    starts = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return starts + np.arange(len(owner)), owner
 
-    The collision counter increments whenever a relaxation reaches an
-    already-discovered vertex -- the events that would flag the
-    incremental-reveal coupling.
+
+def explore_susceptibility(graph: EpidemicGraph, v: int, t_star: float) -> SusceptibilitySnapshot:
+    """Reverse shortest paths from v, keeping vertices with distance <= t_star.
+
+    The collision counter counts the reverse edges out of the explored
+    set that reach an already-discovered vertex -- the events that
+    would flag the incremental-reveal coupling.  Every other such edge
+    discovers a new vertex, so the count is the number of those edges
+    minus the vertices discovered besides v.
     """
     if t_star < 0:
         raise DomainError("t_star must be >= 0")
-    r_indptr, r_tails, r_weights = graph.reverse_csr()
-    dist = {v: 0.0}
-    explored = {}
-    collisions = 0
-    heap = [(0.0, int(v))]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in explored or d > dist.get(u, np.inf):
-            continue
-        if d > t_star:
-            break
-        explored[u] = d
-        for e in range(r_indptr[u], r_indptr[u + 1]):
-            w = int(r_tails[e])
-            nd = d + float(r_weights[e])
-            if w in dist or w in explored:
-                collisions += 1
-            if nd < dist.get(w, np.inf) and w not in explored:
-                dist[w] = nd
-                heapq.heappush(heap, (nd, w))
+    rev = graph.reverse_matrix()
+    dist = dijkstra(rev, indices=v, limit=t_star)
+    inside = np.isfinite(dist) & (dist <= t_star)
+    explored = np.flatnonzero(inside)
 
-    active = {(u, d) for u, d in dist.items() if u not in explored}
-    passive = set()
-    for u in explored:
-        lo, hi = graph.indptr[u], graph.indptr[u + 1]
-        passive.update(int(h) for h in graph.heads[lo:hi])
-    for u, _ in active:
-        lo, hi = graph.indptr[u], graph.indptr[u + 1]
-        passive.update(int(h) for h in graph.heads[lo:hi])
-    passive -= set(explored)
-    passive -= {u for u, _ in active}
+    edges, owner = _row_entries(rev.indptr, explored)
+    reached = rev.indices[edges]
+    outside = ~inside[reached]
+    frontier = reached[outside]
+    best = np.full(graph.n, np.inf)
+    np.minimum.at(best, frontier, dist[owner[outside]] + rev.data[edges[outside]])
+    active = np.unique(frontier)
+    discovered = np.union1d(explored, active)
+
+    heads = graph.heads[_row_entries(graph.indptr, discovered)[0]]
+    passive = np.setdiff1d(heads, discovered)
+    collisions = len(edges) - (len(discovered) - 1)
     return SusceptibilitySnapshot(
         root=int(v),
-        explored=explored,
-        active=active,
-        passive=passive,
+        explored=dict(zip(explored.tolist(), dist[explored].tolist())),
+        active=set(zip(active.tolist(), best[active].tolist())),
+        passive=set(passive.tolist()),
         flagged=collisions > 0,
         collision_count=collisions,
         horizon=float(t_star),
@@ -139,18 +138,6 @@ def restricted_susceptibility_size(graph: EpidemicGraph, v_star: int, i: int, j:
         raise DomainError("type index out of range")
     if pop.type_of(v_star) != j0:
         raise DomainError(f"v_star={v_star} is not of type {j}")
-    r_indptr, r_tails, _ = graph.reverse_csr()
-    types = pop.type_array()
-    seen = {int(v_star)}
-    stack = [int(v_star)]
-    while stack:
-        w = stack.pop()
-        w_is_j = types[w] == j0
-        for e in range(r_indptr[w], r_indptr[w + 1]):
-            u = int(r_tails[e])
-            # edge (u -> w) is in the restricted set iff tail type is i
-            # or head type is not j
-            if (types[u] == i0 or not w_is_j) and u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return RestrictedSetSize(y=len(seen))
+    reached = breadth_first_order(graph.reverse_matrix((i0, j0)), int(v_star),
+                                  return_predecessors=False)
+    return RestrictedSetSize(y=len(reached))

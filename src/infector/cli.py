@@ -35,8 +35,8 @@ from .config import (
     mean_matrix,
     validate_config,
 )
-from .errors import ConfigError, DomainError, InfectorError, NumericError
-from .forward import replicate_records, replicate_rho
+from .errors import ConfigError, DomainError, InfectorError, NoDataError, NumericError
+from .forward import aggregate_rho, replicate_records, replicate_rho
 from .graph import build_graph
 
 __all__ = ["main"]
@@ -123,22 +123,19 @@ def cmd_simulate(args) -> int:
     CsvWriter(_out_path(args, "replicates.csv"), args.force, args.no_timestamp,
               chash, seed).write(header, rows)
 
-    used = [rec["rho"] for rec in records if rec["large_outbreak"]]
     sum_header = ["statistic"] + rho_cols + ["replicates_used", "replicates_total"]
-    sum_rows = []
-    if used:
-        stack = np.stack(used)
-        mean = np.nanmean(stack, axis=0).ravel()
-        std = (np.nanstd(stack, axis=0, ddof=1) if len(used) > 1
-               else np.full((k, k), np.nan)).ravel()
-        stderr = std / np.sqrt(len(used))
-        sum_rows.append(["mean"] + list(mean) + [len(used), args.replicates])
-        sum_rows.append(["stderr"] + list(stderr) + [len(used), args.replicates])
+    try:
+        est = aggregate_rho(records)
+    except NoDataError:
+        used = 0
+        sum_rows = [["mean"] + [np.nan] * (k * k) + [0, args.replicates]]
     else:
-        sum_rows.append(["mean"] + [np.nan] * (k * k) + [0, args.replicates])
+        used = est.replicates_used
+        sum_rows = [["mean"] + list(est.mean.ravel()) + [used, args.replicates],
+                    ["stderr"] + list(est.stderr.ravel()) + [used, args.replicates]]
     CsvWriter(_out_path(args, "summary.csv"), args.force, args.no_timestamp,
               chash, seed).write(sum_header, sum_rows)
-    print(f"wrote {args.replicates} replicates ({len(used)} large outbreaks) "
+    print(f"wrote {args.replicates} replicates ({used} large outbreaks) "
           f"to {args.output_dir}")
     return EXIT_PASS
 

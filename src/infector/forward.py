@@ -31,6 +31,7 @@ __all__ = [
     "is_large_outbreak",
     "replicate_rho",
     "replicate_records",
+    "aggregate_rho",
 ]
 
 
@@ -248,9 +249,18 @@ def replicate_rho(config: ModelConfig, R: int, threshold: float = 0.05,
     not depend on worker scheduling.
     """
     records = replicate_records(config, R, threshold, master_seed, method, threads)
+    return aggregate_rho(records)
+
+
+def aggregate_rho(records: list) -> RhoEstimate:
+    """Mean and standard error of rho over the large-outbreak records.
+
+    Each cell averages its non-NaN values; its standard error is their
+    sample standard deviation over the square root of their count.
+    """
     used = [rec["rho"] for rec in records if rec["large_outbreak"]]
     if not used:
-        raise NoDataError(f"no large outbreak among {R} replicates")
+        raise NoDataError(f"no large outbreak among {len(records)} replicates")
     stack = np.stack(used)
     mean = np.nanmean(stack, axis=0)
     with np.errstate(invalid="ignore"):
@@ -258,4 +268,4 @@ def replicate_rho(config: ModelConfig, R: int, threshold: float = 0.05,
         std = np.nanstd(stack, axis=0, ddof=1) if len(used) > 1 else np.full(mean.shape, np.nan)
     stderr = std / np.sqrt(np.maximum(count, 1))
     return RhoEstimate(mean=mean, stderr=stderr, replicates_used=len(used),
-                       replicates_total=R)
+                       replicates_total=len(records))

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from . import rng as rngmod
 from .config import (
@@ -22,7 +23,7 @@ from .config import (
     ModelConfig,
     PopulationSpec,
 )
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 
 __all__ = [
     "EpidemicGraph",
@@ -44,7 +45,8 @@ class EpidemicGraph:
     heads: np.ndarray
     weights: np.ndarray
     realized_seed: int = 0
-    _reverse: Optional[tuple] = field(default=None, repr=False, compare=False)
+    _reverse: Optional[csr_matrix] = field(default=None, repr=False, compare=False)
+    _restricted: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -63,15 +65,42 @@ class EpidemicGraph:
         return tails, self.heads, self.weights
 
     def reverse_csr(self):
-        """CSR of the transposed graph (cached)."""
+        """CSR arrays (indptr, tails, weights) of the transposed graph (cached)."""
         if self._reverse is None:
             tails, heads, weights = self.edge_list()
             order = np.lexsort((weights, tails, heads))
             r_indptr = np.zeros(self.n + 1, dtype=np.int64)
             np.add.at(r_indptr, heads + 1, 1)
             np.cumsum(r_indptr, out=r_indptr)
-            self._reverse = (r_indptr, tails[order], weights[order])
-        return self._reverse
+            self._reverse = csr_matrix((weights[order], tails[order], r_indptr),
+                                       shape=(self.n, self.n))
+        return self._reverse.indptr, self._reverse.indices, self._reverse.data
+
+    def reverse_matrix(self, restriction=None):
+        """The transposed graph as a scipy CSR matrix (cached).
+
+        ``restriction=(i0, j0)`` keeps only the edges whose tail has
+        0-based type i0 or whose head does not have type j0.
+        """
+        r_indptr, r_tails, r_weights = self.reverse_csr()  # fills self._reverse
+        if restriction is None:
+            return self._reverse
+        mat = self._restricted.get(restriction)
+        if mat is None:
+            # Types are contiguous id blocks, so the edges into type-j0
+            # heads are one slice of the transposed edge arrays.
+            i0, j0 = restriction
+            bounds = self.population.boundaries
+            lo, hi = r_indptr[bounds[j0]], r_indptr[bounds[j0 + 1]]
+            tails = r_tails[lo:hi]
+            drop = lo + np.flatnonzero((tails < bounds[i0]) | (tails >= bounds[i0 + 1]))
+            rows = np.searchsorted(r_indptr, drop, side="right") - 1
+            indptr = r_indptr.copy()
+            indptr[1:] -= np.cumsum(np.bincount(rows, minlength=self.n)).astype(indptr.dtype)
+            mat = csr_matrix((np.delete(r_weights, drop), np.delete(r_tails, drop), indptr),
+                             shape=(self.n, self.n))
+            self._restricted[restriction] = mat
+        return mat
 
 
 def _assemble(population: PopulationSpec, tails, heads, weights, realized_seed) -> EpidemicGraph:
@@ -83,7 +112,7 @@ def _assemble(population: PopulationSpec, tails, heads, weights, realized_seed) 
     if len(tails) > 1:
         dup = (tails[1:] == tails[:-1]) & (weights[1:] == weights[:-1])
         if dup.any():
-            raise RuntimeError("duplicate out-edge weight realized; resample with a new seed")
+            raise NumericError("duplicate out-edge weight realized; resample with a new seed")
     indptr = np.zeros(population.n + 1, dtype=np.int64)
     np.add.at(indptr, tails + 1, 1)
     np.cumsum(indptr, out=indptr)

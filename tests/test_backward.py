@@ -16,7 +16,8 @@ from infector.errors import DomainError, OutOfHorizonError
 from infector.forward import run_epidemic
 from infector.graph import FIG1_LABELS, _assemble, build_graph, fixture_graph_fig1
 
-from conftest import marked_config, symmetric_marked_config
+import oracles
+from conftest import asymmetric_seir_config, marked_config, symmetric_marked_config
 
 
 # --------------------------------------------------------------------------
@@ -134,6 +135,43 @@ def test_reverse_distances_match_transposed_dijkstra():
         for u, d in snap.explored.items():
             assert d == pytest.approx(oracle[u], rel=1e-12)
         assert np.isinf(oracle[np.setdiff1d(np.arange(g.n), list(snap.explored))]).all()
+
+
+def _assert_same_snapshot(new, old):
+    assert new.explored == old.explored  # keys and exact distances
+    assert new.active == old.active
+    assert new.passive == old.passive
+    assert new.collision_count == old.collision_count
+    assert new.flagged == old.flagged
+
+
+def test_matches_loop_oracle_on_fixture():
+    g = fixture_graph_fig1()
+    for v in range(g.n):
+        for t in (0.0, 0.4, 1.1, math.inf):
+            _assert_same_snapshot(explore_susceptibility(g, v, t),
+                                  oracles.explore_susceptibility(g, v, t))
+        j = int(g.population.type_of(v)) + 1
+        for i in (1, 2):
+            assert (restricted_susceptibility_size(g, v, i, j)
+                    == oracles.restricted_susceptibility_size(g, v, i, j))
+
+
+def test_matches_loop_oracle_on_seir_graph():
+    g = build_graph(asymmetric_seir_config(n=2000, seed=7))
+    pop = g.population
+    roots = np.random.default_rng(7).choice(g.n, size=60, replace=False)
+    collisions = 0
+    for v in (int(r) for r in roots):
+        for t in (1.0, 4.0, 10.0):
+            new = explore_susceptibility(g, v, t)
+            _assert_same_snapshot(new, oracles.explore_susceptibility(g, v, t))
+            collisions += new.collision_count
+        j = int(pop.type_of(v)) + 1
+        for i in (1, 2):
+            assert (restricted_susceptibility_size(g, v, i, j)
+                    == oracles.restricted_susceptibility_size(g, v, i, j))
+    assert collisions > 0
 
 
 # --------------------------------------------------------------------------

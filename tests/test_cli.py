@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from infector.analytic import analytic_report
+from infector import forward
 from infector.cli import main
 from infector.config import config_to_dict
 
@@ -143,6 +145,77 @@ def test_seed_override_changes_output(tmp_path):
     b = (tmp_path / "b" / "replicates.csv").read_text()
     assert a != b
     assert "seed=99" in b.splitlines()[0]
+
+
+# The README scenario; only the population size changes.
+_README_SCENARIO = {
+    "population": {"n": 10000, "counts": [5000, 5000], "proportions": [0.5, 0.5]},
+    "kernel": {
+        "variant": "markov_seir",
+        "latent": [{"kind": "constant", "value": 0.0},
+                   {"kind": "exponential", "rate": 2.0}],
+        "infectious": [{"kind": "exponential", "rate": 1.0},
+                       {"kind": "gamma", "shape": 2.0, "rate": 2.0}],
+        "contact_rates": [[3.0, 1.5], [1.0, 2.5]],
+    },
+    "initial_infecteds": {"vertices": [0]},
+    "seed": 11,
+}
+
+
+def _readme_digests(tmp_path, n, argv, names):
+    scenario = json.loads(json.dumps(_README_SCENARIO))
+    scenario["population"].update(n=n, counts=[n // 2, n - n // 2])
+    cfg = tmp_path / f"readme_{n}.json"
+    cfg.write_text(json.dumps(scenario))
+    out = tmp_path / f"out_{n}"
+    assert main(argv + ["--config", str(cfg), "--no-timestamp",
+                        "--output-dir", str(out)]) == 0
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in names}
+
+
+def test_shortest_path_outputs_byte_identical(tmp_path):
+    # Digests recorded with the heap-loop shortest paths this package
+    # used before scipy.sparse.csgraph; a fixed seed must reproduce them.
+    eager = _readme_digests(tmp_path, 2000,
+                            ["simulate", "--method", "eager", "--replicates", "20"],
+                            ["replicates.csv", "summary.csv"])
+    assert eager == {
+        "replicates.csv": "b8765cd2ee93329dfbd6284cea0a996d6bc2c9a8b2e44732e8c01c621c21c571",
+        "summary.csv": "a94311d90897f9bf7db704be7b747ff760a60f2fdd0b4405156293e93037047d",
+    }
+    backward = _readme_digests(tmp_path, 20000,
+                               ["backward", "--roots-per-type", "10", "--t-star", "4"],
+                               ["backward.csv"])
+    assert backward == {
+        "backward.csv": "9b4533008bdb9e56a080a5527dd7473237420a8a983d9ed5c44e583fc3cd1ab6",
+    }
+
+
+def test_summary_stderr_matches_replicate_rho(tmp_path, monkeypatch):
+    # one used replicate has a NaN column: per-cell counts differ from
+    # the number of used replicates, and both paths must divide by them
+    rhos = [np.array([[0.7, 0.4], [0.3, 0.6]]),
+            np.array([[0.9, np.nan], [0.1, np.nan]]),
+            np.array([[0.6, 0.2], [0.4, 0.8]]),
+            np.array([[0.5, 0.5], [0.5, 0.5]])]
+
+    def fake_replicate(config, master_seed, index, threshold, method):
+        return {"replicate": index, "large_outbreak": index < 3,
+                "final_fraction": 0.5 if index < 3 else 0.001, "rho": rhos[index]}
+
+    monkeypatch.setattr(forward, "_one_replicate", fake_replicate)
+    cfg_obj = symmetric_marked_config(n=100, seed=23)
+    cfg = _write_config(tmp_path, cfg_obj)
+    assert main(["simulate", "--config", cfg, "--replicates", "4",
+                 "--no-timestamp", "--output-dir", str(tmp_path / "o")]) == 0
+    _, header, rows = _read_csv(tmp_path / "o" / "summary.csv")
+    stderr_row = next(r for r in rows if r[0] == "stderr")
+    est = forward.replicate_rho(cfg_obj, 4)
+    assert est.replicates_used == 3
+    assert [float(x) for x in stderr_row[1:5]] == list(est.stderr.ravel())
+    assert est.stderr[0, 1] == pytest.approx(np.std([0.4, 0.2], ddof=1) / math.sqrt(2))
 
 
 # --------------------------------------------------------------------------

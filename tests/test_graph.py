@@ -5,8 +5,10 @@ import pytest
 from scipy import stats
 
 from infector.config import Duration, MarkovSEIR, ModelConfig, PopulationSpec
+from infector.errors import NumericError
 from infector.graph import (
     FIG1_LABELS,
+    _assemble,
     build_graph,
     degree_stats,
     dump_graph,
@@ -64,6 +66,13 @@ def test_no_duplicate_out_weights():
     for u in range(g.n):
         _, w = g.out_edges(u)
         assert len(np.unique(w)) == len(w)
+
+
+def test_duplicate_out_weight_is_numeric_error():
+    # two out-edges of vertex 0 with one weight; the CLI maps this to exit 3
+    pop = PopulationSpec(n=3, counts=[3], proportions=[1.0])
+    with pytest.raises(NumericError):
+        _assemble(pop, [0, 0, 1], [1, 2, 2], [0.5, 0.5, 0.5], realized_seed=0)
 
 
 def test_reverse_csr_oracle():
