@@ -30,15 +30,12 @@ from .backward import (
     susceptibility_counts,
 )
 from .branching import (
-    BranchingRun,
     MalthusianSolution,
-    WEstimate,
     backward_mean_matrix,
     estimate_W,
     estimate_rho_bp,
     extinction_frequency,
     laplace_mean_matrix,
-    simulate_backward_bp,
     solve_malthusian,
     survival_probability,
 )

@@ -6,6 +6,13 @@ normalized contact-age law of type i, with Poisson((p_i/p_j) m_ij)
 counts; particles never die.  The Malthusian parameter makes the
 Laplace-transformed backward mean matrix critical, and e^(-alpha t)
 times the population converges to the martingale limit W.
+
+One simulator, ``_simulate_batch``, grows many independent runs a
+generation at a time up to a horizon T and returns each run's size,
+last birth time and cap flag.  W is estimated as e^(-alpha T) * size(T),
+and as 0 when the run had no birth in [T/2, T]: that no-growth rule is
+the extinction surrogate shared by ``estimate_W``, ``estimate_rho_bp``
+and ``extinction_frequency``.
 """
 
 from __future__ import annotations
@@ -21,38 +28,15 @@ from .config import ModelConfig, mean_matrix
 from .errors import CapExceededError, DomainError, NoDataError, NumericError
 
 __all__ = [
-    "BranchingRun",
     "MalthusianSolution",
-    "WEstimate",
     "backward_mean_matrix",
     "laplace_mean_matrix",
     "solve_malthusian",
-    "simulate_backward_bp",
     "estimate_W",
     "survival_probability",
     "extinction_frequency",
     "estimate_rho_bp",
 ]
-
-
-@dataclass
-class BranchingRun:
-    """Event log of one backward branching realization.
-
-    Events are sorted by birth time; types are 1-based; ``parents[e]``
-    indexes the event list (-1 for the root at time 0).
-    """
-
-    root_type: int
-    times: np.ndarray
-    types: np.ndarray
-    parents: np.ndarray
-    horizon: float
-    capped: bool
-
-    @property
-    def size(self) -> int:
-        return len(self.times)
 
 
 @dataclass(frozen=True)
@@ -61,11 +45,8 @@ class MalthusianSolution:
     residual: float
 
 
-@dataclass(frozen=True)
-class WEstimate:
-    value: float
-    root_type: int
-    horizon: float
+# Roots per _simulate_batch call when estimating W; bounds peak memory.
+_BATCH = 4_000
 
 
 # --------------------------------------------------------------------------
@@ -205,80 +186,69 @@ def _simulate_batch(config: ModelConfig, root_types0: np.ndarray, horizon: float
     return sizes, last_birth, capped
 
 
-def simulate_backward_bp(config: ModelConfig, root_type: int, horizon: float,
-                         cap: int = 1_000_000,
-                         rng: Optional[np.random.Generator] = None) -> BranchingRun:
-    """Full event log of one backward run started from a type root_type particle."""
-    if horizon <= 0:
+def _type_index(config: ModelConfig, root_type: int) -> int:
+    """0-based index of a 1-based type; DomainError when out of range."""
+    j0 = int(root_type) - 1
+    if not 0 <= j0 < config.k:
+        raise DomainError(f"type {root_type} out of range 1..{config.k}")
+    return j0
+
+
+def _check_bp_args(config: ModelConfig, root_type: int, R: int, horizon: float,
+                   cap: int) -> int:
+    """Shared argument check of the Monte Carlo entry points; returns the 0-based root type."""
+    j0 = _type_index(config, root_type)
+    if R < 1:
+        raise DomainError("need at least one replicate")
+    if not horizon > 0:
         raise DomainError("horizon must be positive")
     if cap < 1:
         raise DomainError("cap must be >= 1")
+    return j0
+
+
+def _no_growth(sizes: np.ndarray, last_birth: np.ndarray, horizon: float) -> np.ndarray:
+    """Extinction surrogate: no birth at all, or none in [T/2, T]."""
+    return (sizes <= 1) | (last_birth < horizon / 2.0)
+
+
+def _w_values(config: ModelConfig, root_types0: np.ndarray, horizon: float,
+              alpha: float, cap: int, rng: np.random.Generator) -> np.ndarray:
+    """W = e^(-alpha T) * size(T) per root, 0 under the extinction surrogate.
+
+    Roots run in batches of ``_BATCH`` to bound memory; a capped run
+    raises, since its size is only a lower bound.
+    """
+    w = np.empty(len(root_types0))
+    for start in range(0, len(root_types0), _BATCH):
+        idx = slice(start, start + _BATCH)
+        sizes, last_birth, capped = _simulate_batch(config, root_types0[idx], horizon, cap, rng)
+        if capped.any():
+            raise CapExceededError(
+                "branching population cap hit while estimating W; raise cap"
+            )
+        w_batch = np.exp(-alpha * horizon) * sizes
+        w_batch[_no_growth(sizes, last_birth, horizon)] = 0.0
+        w[idx] = w_batch
+    return w
+
+
+def estimate_W(config: ModelConfig, root_type: int, horizon: float, alpha: float, R: int,
+               cap: int = 1_000_000,
+               rng: Optional[np.random.Generator] = None) -> np.ndarray:
+    """R independent martingale-limit estimates e^(-alpha T) * population(T).
+
+    Each run starts from one type ``root_type`` particle.  A run with no
+    birth in [T/2, T] is reported as W = 0 -- the extinction surrogate,
+    whose exactness improves with the horizon.  Raises
+    ``CapExceededError`` if any run exceeds ``cap`` particles.
+    """
+    j0 = _check_bp_args(config, root_type, R, horizon, cap)
+    if not alpha > 0:
+        raise DomainError("alpha must be positive")
     if rng is None:
         rng = rngmod.stream(config.seed, "bp")
-    kern = config.kernel
-    k = config.k
-    mb = backward_mean_matrix(config)
-    j0 = int(root_type) - 1
-    if not 0 <= j0 < k:
-        raise DomainError("root_type out of range")
-
-    times = [0.0]
-    types0 = [j0]
-    parents = [-1]
-    frontier = [0]
-    capped = False
-    while frontier and not capped:
-        new_frontier = []
-        for idx in frontier:
-            t_parent, jp = times[idx], types0[idx]
-            for i0 in range(k):
-                count = rng.poisson(mb[jp, i0])
-                if count == 0:
-                    continue
-                births = t_parent + _child_ages(rng, kern, i0, count)
-                for b in births:
-                    if b <= horizon:
-                        times.append(float(b))
-                        types0.append(i0)
-                        parents.append(idx)
-                        new_frontier.append(len(times) - 1)
-            if len(times) > cap:
-                capped = True
-                break
-        frontier = new_frontier
-
-    times_a = np.asarray(times)
-    order = np.argsort(times_a, kind="stable")
-    remap = np.empty(len(order), dtype=np.int64)
-    remap[order] = np.arange(len(order))
-    parents_a = np.asarray(parents, dtype=np.int64)
-    sorted_parents = np.where(parents_a[order] >= 0, remap[parents_a[order]], -1)
-    return BranchingRun(
-        root_type=int(root_type),
-        times=times_a[order],
-        types=np.asarray(types0, dtype=np.int64)[order] + 1,
-        parents=sorted_parents,
-        horizon=float(horizon),
-        capped=capped,
-    )
-
-
-def estimate_W(run: BranchingRun, alpha: float) -> WEstimate:
-    """Martingale-limit estimate e^(-alpha T) * population(T).
-
-    Reported as 0 when no birth occurred in [T/2, T] -- the extinction
-    surrogate; exactness improves with the horizon.
-    """
-    if run.capped:
-        raise CapExceededError("capped run: raise the cap or shrink the horizon")
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
-    last = float(run.times[-1]) if run.size else 0.0
-    if run.size <= 1 or last < run.horizon / 2.0:
-        value = 0.0
-    else:
-        value = float(np.exp(-alpha * run.horizon) * run.size)
-    return WEstimate(value=value, root_type=run.root_type, horizon=run.horizon)
+    return _w_values(config, np.full(R, j0, dtype=np.int64), horizon, alpha, cap, rng)
 
 
 def survival_probability(config: ModelConfig, root_type: int) -> float:
@@ -286,9 +256,7 @@ def survival_probability(config: ModelConfig, root_type: int) -> float:
     mb = backward_mean_matrix(config)
     if r0(mb, require_irreducible=False) <= 1.0:
         raise DomainError("survival probability requires R0 > 1")
-    j0 = int(root_type) - 1
-    if not 0 <= j0 < config.k:
-        raise DomainError("root_type out of range")
+    j0 = _type_index(config, root_type)
     q = extinction_probs(mb)
     return float(1.0 - q[j0])
 
@@ -301,13 +269,13 @@ def extinction_frequency(config: ModelConfig, root_type: int, R: int, horizon: f
     Runs that hit the cap have certainly not gone extinct and count as
     surviving without being grown further.
     """
+    j0 = _check_bp_args(config, root_type, R, horizon, cap)
     if rng is None:
         rng = rngmod.stream(config.seed, "bp-extinction")
-    j0 = int(root_type) - 1
     sizes, last_birth, capped = _simulate_batch(
         config, np.full(R, j0, dtype=np.int64), horizon, cap, rng
     )
-    extinct = (~capped) & ((sizes <= 1) | (last_birth < horizon / 2.0))
+    extinct = ~capped & _no_growth(sizes, last_birth, horizon)
     return float(extinct.mean())
 
 
@@ -317,7 +285,7 @@ def extinction_frequency(config: ModelConfig, root_type: int, R: int, horizon: f
 
 def estimate_rho_bp(config: ModelConfig, j: int, R: int, horizon: Optional[float] = None,
                     rng: Optional[np.random.Generator] = None, cap: int = 1_000_000,
-                    batch_size: int = 4_000, details: bool = False):
+                    details: bool = False):
     """Monte Carlo attribution fractions toward type-j vertices.
 
     Per replicate, the first backward generation has Poisson counts per
@@ -331,15 +299,11 @@ def estimate_rho_bp(config: ModelConfig, j: int, R: int, horizon: Optional[float
     per-replicate share matrix (R x K, before survival normalization) is
     appended to the return tuple.
     """
-    if R < 1:
-        raise DomainError("need at least one replicate")
     k = config.k
-    j0 = int(j) - 1
-    if not 0 <= j0 < k:
-        raise DomainError("target type out of range")
     alpha = solve_malthusian(config).alpha
     if horizon is None:
         horizon = 12.0 / alpha
+    j0 = _check_bp_args(config, j, R, horizon, cap)
     if rng is None:
         rng = rngmod.stream(config.seed, "bp-estimate", j)
     mb = backward_mean_matrix(config)
@@ -350,13 +314,9 @@ def estimate_rho_bp(config: ModelConfig, j: int, R: int, horizon: Optional[float
     counts = rng.poisson(mb[j0][None, :], size=(R, k))
     totals = counts.sum(axis=1)
     rep_of = np.repeat(np.arange(R), totals)
-    type_of = np.concatenate(
-        [np.repeat(np.arange(k), counts[r]) for r in range(R)]
-    ) if totals.sum() else np.empty(0, dtype=np.int64)
+    type_of = np.repeat(np.tile(np.arange(k), R), counts.ravel())
 
-    m_draws = len(rep_of)
-    w = np.zeros(m_draws)
-    tau = np.zeros(m_draws)
+    tau = np.zeros(len(rep_of))
     for i0 in range(k):
         sel = type_of == i0
         n_sel = int(sel.sum())
@@ -364,19 +324,7 @@ def estimate_rho_bp(config: ModelConfig, j: int, R: int, horizon: Optional[float
             continue
         tau[sel] = _child_ages(rng, kern, i0, n_sel)
 
-    # martingale estimates in batches to bound memory
-    for start in range(0, m_draws, batch_size):
-        idx = slice(start, min(start + batch_size, m_draws))
-        roots = type_of[idx]
-        sizes, last_birth, capped = _simulate_batch(config, roots, horizon, cap, rng)
-        if capped.any():
-            raise CapExceededError(
-                "branching population cap hit while estimating W; raise cap"
-            )
-        w_batch = np.exp(-alpha * horizon) * sizes
-        w_batch[(sizes <= 1) | (last_birth < horizon / 2.0)] = 0.0
-        w[idx] = w_batch
-
+    w = _w_values(config, type_of, horizon, alpha, cap, rng)
     disc = np.exp(-alpha * tau) * w
     num = np.zeros((R, k))
     np.add.at(num, (rep_of, type_of), disc)

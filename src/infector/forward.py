@@ -92,13 +92,19 @@ def _summarize(population, sigma, infector, v_init) -> OutbreakResult:
     )
 
 
-def run_epidemic(graph: EpidemicGraph, v_init) -> OutbreakResult:
-    """Exact multi-source shortest-path epidemic on a materialized graph."""
+def _seed_vertices(v_init, n: int) -> np.ndarray:
+    """Sorted distinct seed ids; DomainError if empty or outside [0, n)."""
     v_init = np.asarray(sorted(set(int(v) for v in v_init)), dtype=np.int64)
     if len(v_init) == 0:
         raise DomainError("the initially infected set must be nonempty")
-    if (v_init < 0).any() or (v_init >= graph.n).any():
+    if (v_init < 0).any() or (v_init >= n).any():
         raise DomainError("seed vertex id out of range")
+    return v_init
+
+
+def run_epidemic(graph: EpidemicGraph, v_init) -> OutbreakResult:
+    """Exact multi-source shortest-path epidemic on a materialized graph."""
+    v_init = _seed_vertices(v_init, graph.n)
     dist, pred = dijkstra(graph.indptr, graph.heads, graph.weights, v_init)
     return _summarize(graph.population, dist, pred, v_init)
 
@@ -123,9 +129,7 @@ def run_epidemic_lazy(config: ModelConfig, rng: Optional[np.random.Generator] = 
 
     sigma = np.full(n, np.inf)
     infector = np.full(n, -1, dtype=np.int64)
-    v_init = np.asarray(sorted(set(config.initial_infecteds)), dtype=np.int64)
-    if len(v_init) == 0:
-        raise DomainError("the initially infected set must be nonempty")
+    v_init = _seed_vertices(config.initial_infecteds, n)
 
     heap = []
 

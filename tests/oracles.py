@@ -3,14 +3,21 @@
 Plain heap and stack loops that compute, one vertex at a time, what the
 package computes with ``scipy.sparse.csgraph``: forward shortest paths
 with the smaller-id predecessor tie-break, backward susceptibility
-snapshots, and restricted susceptibility set sizes.
+snapshots, and restricted susceptibility set sizes.  A per-particle
+loop with a full event log does, one run at a time, what the batched
+branching-process simulator does by generation.
 """
 
 import heapq
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
+from infector import rng as rngmod
 from infector.backward import RestrictedSetSize, SusceptibilitySnapshot
+from infector.branching import _child_ages, backward_mean_matrix
+from infector.config import ModelConfig
 from infector.errors import DomainError
 from infector.graph import EpidemicGraph
 
@@ -121,3 +128,81 @@ def restricted_susceptibility_size(graph: EpidemicGraph, v_star: int, i: int, j:
                 seen.add(u)
                 stack.append(u)
     return RestrictedSetSize(y=len(seen))
+
+
+@dataclass
+class BranchingRun:
+    """Event log of one backward branching realization.
+
+    Events are sorted by birth time; types are 1-based; ``parents[e]``
+    indexes the event list (-1 for the root at time 0).
+    """
+
+    root_type: int
+    times: np.ndarray
+    types: np.ndarray
+    parents: np.ndarray
+    horizon: float
+    capped: bool
+
+    @property
+    def size(self) -> int:
+        return len(self.times)
+
+
+def simulate_backward_bp(config: ModelConfig, root_type: int, horizon: float,
+                         cap: int = 1_000_000,
+                         rng: Optional[np.random.Generator] = None) -> BranchingRun:
+    """Full event log of one backward run started from a type root_type particle."""
+    if horizon <= 0:
+        raise DomainError("horizon must be positive")
+    if cap < 1:
+        raise DomainError("cap must be >= 1")
+    if rng is None:
+        rng = rngmod.stream(config.seed, "bp")
+    kern = config.kernel
+    k = config.k
+    mb = backward_mean_matrix(config)
+    j0 = int(root_type) - 1
+    if not 0 <= j0 < k:
+        raise DomainError("root_type out of range")
+
+    times = [0.0]
+    types0 = [j0]
+    parents = [-1]
+    frontier = [0]
+    capped = False
+    while frontier and not capped:
+        new_frontier = []
+        for idx in frontier:
+            t_parent, jp = times[idx], types0[idx]
+            for i0 in range(k):
+                count = rng.poisson(mb[jp, i0])
+                if count == 0:
+                    continue
+                births = t_parent + _child_ages(rng, kern, i0, count)
+                for b in births:
+                    if b <= horizon:
+                        times.append(float(b))
+                        types0.append(i0)
+                        parents.append(idx)
+                        new_frontier.append(len(times) - 1)
+            if len(times) > cap:
+                capped = True
+                break
+        frontier = new_frontier
+
+    times_a = np.asarray(times)
+    order = np.argsort(times_a, kind="stable")
+    remap = np.empty(len(order), dtype=np.int64)
+    remap[order] = np.arange(len(order))
+    parents_a = np.asarray(parents, dtype=np.int64)
+    sorted_parents = np.where(parents_a[order] >= 0, remap[parents_a[order]], -1)
+    return BranchingRun(
+        root_type=int(root_type),
+        times=times_a[order],
+        types=np.asarray(types0, dtype=np.int64)[order] + 1,
+        parents=sorted_parents,
+        horizon=float(horizon),
+        capped=capped,
+    )

@@ -21,7 +21,7 @@ from infector.analytic import (
     tv_binomial_poisson,
 )
 from infector.backward import explore_susceptibility, restricted_susceptibility_size
-from infector.branching import estimate_W, estimate_rho_bp, simulate_backward_bp, solve_malthusian
+from infector.branching import estimate_W, estimate_rho_bp, solve_malthusian
 from infector.cli import main
 from infector.config import Duration, PopulationSpec, config_to_dict
 from infector.forward import attribute_infectors, replicate_records, replicate_rho, run_epidemic
@@ -172,10 +172,7 @@ def test_criterion_06_malthusian():
     means, ses = [], []
     for h in (5.0, 7.5):
         rng = stream(600, "acc6", int(h * 10))
-        vals = np.array([
-            estimate_W(simulate_backward_bp(cfg, 1, h, rng=rng), 1.0).value
-            for _ in range(500)
-        ])
+        vals = estimate_W(cfg, 1, h, 1.0, 500, rng=rng)
         means.append(vals.mean())
         ses.append(vals.std(ddof=1) / math.sqrt(len(vals)))
     z = abs(means[0] - means[1]) / math.hypot(*ses)

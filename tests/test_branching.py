@@ -5,12 +5,12 @@ import pytest
 from scipy.optimize import brentq
 
 from infector.branching import (
+    _simulate_batch,
     backward_mean_matrix,
     estimate_W,
     estimate_rho_bp,
     extinction_frequency,
     laplace_mean_matrix,
-    simulate_backward_bp,
     solve_malthusian,
     survival_probability,
 )
@@ -24,6 +24,7 @@ from conftest import (
     single_type_config,
     symmetric_marked_config,
 )
+from oracles import simulate_backward_bp
 
 
 # --------------------------------------------------------------------------
@@ -102,62 +103,88 @@ def test_malthusian_subcritical_rejected():
 
 
 # --------------------------------------------------------------------------
-# event-log simulation
+# simulation and W estimates
 # --------------------------------------------------------------------------
 
-def test_run_event_log_invariants():
+def test_batch_simulator_matches_event_log_oracle():
+    # per root type: mean size and P(size = 1) of the batched simulator
+    # against the per-particle event-log loop, at 4 combined standard errors
     cfg = asymmetric_seir_config(n=100)
-    for rep in range(20):
-        run = simulate_backward_bp(cfg, root_type=1 + rep % 2, horizon=4.0,
-                                   rng=stream(200 + rep, "t"))
-        assert run.times[0] == 0.0
-        assert run.parents[0] == -1
-        assert (np.diff(run.times) >= 0).all()
-        assert (run.times <= run.horizon).all()
-        assert ((run.types >= 1) & (run.types <= 2)).all()
-        for e in range(1, run.size):
-            par = run.parents[e]
-            assert 0 <= par < e
-            assert run.times[par] <= run.times[e]
-        assert not run.capped
+    horizon, runs = 3.0, 2000
+    for root_type in (1, 2):
+        ref_rng = stream(41, "oracle", root_type)
+        ref = np.array([simulate_backward_bp(cfg, root_type, horizon, rng=ref_rng).size
+                        for _ in range(runs)])
+        sizes, last_birth, capped = _simulate_batch(cfg, np.full(runs, root_type - 1),
+                                                    horizon, 1_000_000,
+                                                    stream(43, "batch", root_type))
+        assert not capped.any()
+        assert (last_birth <= horizon).all()
+        assert np.array_equal(sizes == 1, last_birth == 0.0)
+        for stat in (lambda x: x.astype(float), lambda x: (x == 1).astype(float)):
+            a, b = stat(sizes), stat(ref)
+            se = math.hypot(a.std(ddof=1), b.std(ddof=1)) / math.sqrt(runs)
+            assert abs(a.mean() - b.mean()) < 4 * se
 
 
 def test_run_bad_arguments():
     cfg = single_type_config(n=10)
     with pytest.raises(DomainError):
-        simulate_backward_bp(cfg, 1, horizon=0.0)
+        estimate_W(cfg, 1, horizon=0.0, alpha=1.0, R=1)
     with pytest.raises(DomainError):
-        simulate_backward_bp(cfg, 3, horizon=1.0)
+        estimate_W(cfg, 3, horizon=1.0, alpha=1.0, R=1)
     with pytest.raises(DomainError):
-        simulate_backward_bp(cfg, 1, horizon=1.0, cap=0)
+        estimate_W(cfg, 1, horizon=1.0, alpha=1.0, R=1, cap=0)
+
+
+@pytest.mark.parametrize("bad", [dict(root_type=0), dict(root_type=3), dict(R=0),
+                                 dict(horizon=-1.0), dict(horizon=0.0),
+                                 dict(horizon=math.nan), dict(cap=0)], ids=repr)
+@pytest.mark.parametrize("entry", ["estimate_W", "extinction_frequency",
+                                   "estimate_rho_bp"])
+def test_entry_points_reject_bad_arguments(entry, bad):
+    cfg = marked_config(100, 0.4, 3.0, 2.0, seed=5)
+    args = {**dict(root_type=1, R=10, horizon=2.0, cap=1000), **bad}
+    with pytest.raises(DomainError):
+        if entry == "estimate_W":
+            estimate_W(cfg, args["root_type"], args["horizon"], 1.0, args["R"],
+                       cap=args["cap"])
+        elif entry == "extinction_frequency":
+            extinction_frequency(cfg, args["root_type"], args["R"], args["horizon"],
+                                 cap=args["cap"])
+        else:
+            estimate_rho_bp(cfg, args["root_type"], args["R"], horizon=args["horizon"],
+                            cap=args["cap"])
 
 
 def test_capped_run_flagged_and_rejected():
     cfg = single_type_config(n=10, rate=4.0)
-    run = simulate_backward_bp(cfg, 1, horizon=50.0, cap=5, rng=stream(7, "cap"))
-    assert run.capped
+    _, _, capped = _simulate_batch(cfg, np.zeros(1, dtype=np.int64), 50.0, 5,
+                                   stream(7, "cap"))
+    assert capped.all()
     with pytest.raises(CapExceededError):
-        estimate_W(run, 1.0)
+        estimate_W(cfg, 1, 50.0, 1.0, 1, cap=5, rng=stream(7, "cap"))
 
 
 def test_estimate_W_surrogate_zero():
     cfg = single_type_config(n=10, rate=1.5)
-    for rep in range(200):
-        run = simulate_backward_bp(cfg, 1, horizon=8.0, rng=stream(rep, "w0"))
-        w = estimate_W(run, 0.5).value
-        if run.size == 1:
-            assert w == 0.0
-        elif run.times[-1] >= 4.0:
-            assert w == pytest.approx(math.exp(-0.5 * 8.0) * run.size, rel=1e-15)
-        else:
-            assert w == 0.0
+    R, horizon, alpha = 200, 8.0, 0.5
+    w = estimate_W(cfg, 1, horizon, alpha, R, rng=stream(0, "w0"))
+    sizes, last_birth, _ = _simulate_batch(cfg, np.zeros(R, dtype=np.int64), horizon,
+                                           1_000_000, stream(0, "w0"))
+    alone = sizes == 1
+    late = ~alone & (last_birth >= horizon / 2.0)
+    early = ~alone & ~late
+    assert alone.any() and late.any() and early.any()
+    assert (w[alone | early] == 0.0).all()
+    assert np.array_equal(w[late], math.exp(-alpha * horizon) * sizes[late])
 
 
 def test_estimate_W_bad_alpha():
-    run = simulate_backward_bp(single_type_config(n=10), 1, horizon=1.0,
-                               rng=stream(1, "a"))
-    with pytest.raises(DomainError):
-        estimate_W(run, 0.0)
+    cfg = single_type_config(n=10)
+    for alpha in (0.0, -1.0, math.nan):
+        with pytest.raises(DomainError):
+            estimate_W(cfg, 1, horizon=1.0, alpha=alpha, R=1, rng=stream(1, "a"))
 
 
 def test_martingale_mean_stable_in_horizon():
@@ -165,12 +192,8 @@ def test_martingale_mean_stable_in_horizon():
     alpha = 1.0
     means, ses = [], []
     for horizon in (6.0, 9.0):
-        vals = []
         rng = stream(31, "stab", int(horizon))
-        for _ in range(600):
-            run = simulate_backward_bp(cfg, 1, horizon, rng=rng)
-            vals.append(estimate_W(run, alpha).value)
-        vals = np.asarray(vals)
+        vals = estimate_W(cfg, 1, horizon, alpha, 600, rng=rng)
         means.append(vals.mean())
         ses.append(vals.std(ddof=1) / math.sqrt(len(vals)))
     assert abs(means[0] - means[1]) < 3 * math.hypot(*ses)
@@ -201,6 +224,13 @@ def test_extinction_frequency_matches_survival():
         freq = extinction_frequency(cfg, j, R, horizon=18.0, rng=stream(5, "ext", j))
         se = math.sqrt(target * (1.0 - target) / R)
         assert abs(freq - target) < 3 * se + 0.005
+
+
+def test_extinction_frequency_value_pinned():
+    # recorded with the event-log simulator still in the package: the
+    # default stream and the draw order must not change
+    cfg = marked_config(100, 0.4, 3.0, 2.0, seed=5)
+    assert extinction_frequency(cfg, 2, 500, horizon=8.0) == 0.152
 
 
 # --------------------------------------------------------------------------

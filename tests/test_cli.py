@@ -193,6 +193,22 @@ def test_shortest_path_outputs_byte_identical(tmp_path):
     }
 
 
+def test_bp_estimate_outputs_byte_identical(tmp_path):
+    # Digests recorded with the per-particle event-log simulator still in
+    # the package; the batched simulator must reproduce them.  2500
+    # replicates put ~5000 first-generation subtrees in two batches.
+    argv = ["bp-estimate", "--replicates", "2500", "--horizon", "5", "--force"]
+    names = ["bp_replicates.csv", "bp_summary.csv"]
+    assert _readme_digests(tmp_path, 2000, argv + ["--type", "1"], names) == {
+        "bp_replicates.csv": "e78cc53a23032759c86d4e657219751d2ee1d2b8d151895245a3461a6cb88f90",
+        "bp_summary.csv": "ee0c65dbe045a92bb106e0a8f2b8c52706dde2c5fd49c8e3a4d7d6a12fa16696",
+    }
+    assert _readme_digests(tmp_path, 2000, argv + ["--type", "2"], names) == {
+        "bp_replicates.csv": "4a2ab803cd9047baf5f1b6e10034ee393ccd12150cbb46f19e5cd6364921c649",
+        "bp_summary.csv": "be8f4d55c2f2594f893933483072deac5b41b72a2fee1f30dc083b2b115fced2",
+    }
+
+
 def test_summary_stderr_matches_replicate_rho(tmp_path, monkeypatch):
     # one used replicate has a NaN column: per-cell counts differ from
     # the number of used replicates, and both paths must divide by them
@@ -261,6 +277,17 @@ def test_bp_estimate_outputs(tmp_path, capsys):
     assert sh == ["target_type", "rho_1_1", "rho_2_1", "stderr_1", "stderr_2"]
     vals = [float(x) for x in srows[0][1:3]]
     assert all(np.isfinite(vals))
+
+
+@pytest.mark.parametrize("bad", [["--horizon", "0"], ["--horizon", "-2"],
+                                 ["--cap", "0"], ["--type", "3"]], ids=" ".join)
+def test_bp_estimate_bad_arguments_are_usage_errors(tmp_path, capsys, bad):
+    cfg = _write_config(tmp_path, symmetric_marked_config(n=400, seed=21))
+    rc = main(["bp-estimate", "--config", cfg, "--type", "1", "--replicates", "20",
+               "--output-dir", str(tmp_path / "o")] + bad)
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "bp_summary.csv").exists()
 
 
 # --------------------------------------------------------------------------

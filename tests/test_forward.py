@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -186,6 +187,13 @@ def test_is_large_outbreak_thresholds():
 def test_lazy_zero_rate_only_seeds():
     res = run_epidemic_lazy(single_type_config(n=50, rate=0.0))
     assert res.total_infected == 1
+
+
+def test_lazy_seed_out_of_range():
+    cfg = single_type_config(n=50)
+    for seed in (-1, 50):
+        with pytest.raises(DomainError):
+            run_epidemic_lazy(dataclasses.replace(cfg, initial_infecteds=(seed,)))
 
 
 def test_lazy_subcritical_no_large_outbreak():
