@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
-from scipy.special import gammaln
+from scipy.special import bdtrc, gammaln, pdtrc, xlog1py, xlogy
 
 from .errors import DomainError, NumericError
 
@@ -371,9 +370,15 @@ def tv_binomial_poisson(n_trials: int, p: float, lam: float) -> float:
     mean = max(n_trials * p, lam, 1.0)
     hi = int(mean + 40.0 * np.sqrt(mean) + 40.0)
     k = np.arange(0, hi + 1)
-    pb = stats.binom.pmf(k, n_trials, p)
-    pp = stats.poisson.pmf(k, lam)
+    kb = k[: n_trials + 1]  # the binomial support
+    # log n!/(n-k)! as a running sum of log(n - i): no cancellation
+    # between large log-gammas when n is large and k small
+    log_falling = np.concatenate(([0.0], np.cumsum(np.log(n_trials - kb[:-1]))))
+    pb = np.zeros(len(k))
+    pb[: len(kb)] = np.exp(log_falling - gammaln(kb + 1) + xlogy(kb, p)
+                           + xlog1py(n_trials - kb, -p))
+    pp = np.exp(xlogy(k, lam) - gammaln(k + 1) - lam)
     tv = 0.5 * np.abs(pb - pp).sum()
     # account for any mass beyond the truncation point
-    tail = 0.5 * abs(stats.binom.sf(hi, n_trials, p) - stats.poisson.sf(hi, lam))
+    tail = 0.5 * abs(bdtrc(min(hi, n_trials), n_trials, p) - pdtrc(hi, lam))
     return float(tv + tail)

@@ -295,7 +295,8 @@ def estimate_rho_bp(config: ModelConfig, j: int, R: int, horizon: Optional[float
     event that any subtree survives.  The mean is normalized by the
     survival probability of a type-j root.
 
-    Returns (rho, stderr): length-K arrays.  With ``details=True`` the
+    Returns (rho, stderr): length-K arrays; stderr is NaN when R = 1, as
+    one sample has no standard error.  With ``details=True`` the
     per-replicate share matrix (R x K, before survival normalization) is
     appended to the return tuple.
     """
@@ -337,7 +338,10 @@ def estimate_rho_bp(config: ModelConfig, j: int, R: int, horizon: Optional[float
     contrib = np.zeros((R, k))
     contrib[alive] = num[alive] / denom[alive][:, None]
     rho = contrib.mean(axis=0) / surv
-    stderr = contrib.std(axis=0, ddof=1) / np.sqrt(R) / surv
+    if R > 1:
+        stderr = contrib.std(axis=0, ddof=1) / np.sqrt(R) / surv
+    else:
+        stderr = np.full(k, np.nan)
     if details:
         return rho, stderr, contrib
     return rho, stderr

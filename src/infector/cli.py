@@ -345,7 +345,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s)
     s.add_argument("--replicates", type=int, required=True)
     s.add_argument("--threshold", type=float, default=0.05)
-    s.add_argument("--method", choices=["lazy", "eager"], default="lazy")
+    s.add_argument("--method", choices=["eager", "lazy"], default="eager",
+                   help="forward engine: eager builds each replicate's graph; "
+                        "lazy draws contacts only for infected vertices "
+                        "(same law, different draws)")
     s.add_argument("--threads", type=int, default=1)
     s.set_defaults(func=cmd_simulate)
 

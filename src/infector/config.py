@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy import integrate, stats
+from scipy.special import gammainc, gammaln, xlogy
 
 from .errors import ConfigError, DomainError
 
@@ -106,7 +106,11 @@ class Duration:
             return (t >= self.value).astype(float)
         if self.kind == "exponential":
             return np.where(t > 0, -np.expm1(-self.rate * np.maximum(t, 0.0)), 0.0)
-        return stats.gamma.cdf(t, a=self.shape, scale=1.0 / self.rate)
+        return self._gamma_cdf(self.shape, t)
+
+    def _gamma_cdf(self, shape, t):
+        # scipy.stats.gamma's arithmetic: x = t / scale, and 0 below the support
+        return gammainc(shape, np.maximum(t / (1.0 / self.rate), 0.0))
 
     def pdf(self, t):
         if self.kind == "constant":
@@ -114,7 +118,12 @@ class Duration:
         t = np.asarray(t, dtype=float)
         if self.kind == "exponential":
             return np.where(t >= 0, self.rate * np.exp(-self.rate * np.maximum(t, 0.0)), 0.0)
-        return stats.gamma.pdf(t, a=self.shape, scale=1.0 / self.rate)
+        scale = 1.0 / self.rate
+        x = t / scale
+        with np.errstate(invalid="ignore"):
+            x0 = np.maximum(x, 0.0)
+            dens = np.exp(xlogy(self.shape - 1.0, x0) - x0 - gammaln(self.shape)) / scale
+        return np.where(x < 0, 0.0, dens)
 
     def mean_min(self, u: float) -> float:
         """E[min(T, u)], the integrated survival function on [0, u]."""
@@ -125,8 +134,8 @@ class Duration:
         if self.kind == "exponential":
             return float(-np.expm1(-self.rate * u) / self.rate)
         # E[min(X,u)] = u(1-F(u)) + (shape/rate) F_{shape+1}(u)
-        tail = 1.0 - stats.gamma.cdf(u, a=self.shape, scale=1.0 / self.rate)
-        body = (self.shape / self.rate) * stats.gamma.cdf(u, a=self.shape + 1, scale=1.0 / self.rate)
+        tail = 1.0 - self._gamma_cdf(self.shape, u)
+        body = (self.shape / self.rate) * self._gamma_cdf(self.shape + 1, u)
         return float(u * tail + body)
 
     def sample(self, rng: np.random.Generator, size=None):
@@ -494,6 +503,8 @@ def _coverage(lat: Duration, iota: Duration, t: float) -> float:
     """E[length of (L, L + I) intersected with (0, t)] = E_L[E[min(I, (t-L)+)]]."""
     if lat.kind == "constant":
         return iota.mean_min(t - lat.value)
+    from scipy import integrate  # only user; keeps it out of the CLI's import time
+
     val, _ = integrate.quad(lambda l: lat.pdf(l) * iota.mean_min(t - l), 0.0, t, limit=200)
     return float(val)
 

@@ -2,9 +2,11 @@
 
 Infection times are multi-source shortest-path distances from the seed
 set on the epidemic graph; the infector of a vertex is its shortest-path
-predecessor.  The eager path computes this on a materialized graph; the
-lazy path samples contact lists only for vertices that actually become
-infected and is distributionally identical.
+predecessor.  The eager engine, the default of ``replicate_records`` and
+``replicate_rho``, materializes the graph and runs one shortest-path
+search.  The lazy engine (``method="lazy"``) samples contact lists only
+for vertices that actually become infected: the same law from different
+draws, with memory that grows with the number of infected.
 """
 
 from __future__ import annotations
@@ -208,11 +210,10 @@ def is_large_outbreak(result: OutbreakResult, threshold_fraction: float) -> bool
 def _one_replicate(config: ModelConfig, master_seed: int, index: int, threshold: float,
                    method: str) -> dict:
     rng = rngmod.stream(master_seed, "replicate", index)
-    if method == "lazy":
+    if method == "eager":
+        result = run_epidemic(build_graph(config, rng), config.v_init())
+    elif method == "lazy":
         result = run_epidemic_lazy(config, rng)
-    elif method == "eager":
-        graph = build_graph(config, rng)
-        result = run_epidemic(graph, config.v_init())
     else:
         raise DomainError(f"unknown simulation method {method!r}")
     large = is_large_outbreak(result, threshold)
@@ -226,7 +227,7 @@ def _one_replicate(config: ModelConfig, master_seed: int, index: int, threshold:
 
 
 def replicate_records(config: ModelConfig, R: int, threshold: float = 0.05,
-                      master_seed: Optional[int] = None, method: str = "lazy",
+                      master_seed: Optional[int] = None, method: str = "eager",
                       threads: int = 1) -> list:
     """Run R independent replicates; returns one record dict per replicate."""
     if R < 1:
@@ -245,7 +246,7 @@ def replicate_records(config: ModelConfig, R: int, threshold: float = 0.05,
 
 
 def replicate_rho(config: ModelConfig, R: int, threshold: float = 0.05,
-                  master_seed: Optional[int] = None, method: str = "lazy",
+                  master_seed: Optional[int] = None, method: str = "eager",
                   threads: int = 1) -> RhoEstimate:
     """Average attribution over large-outbreak replicates.
 

@@ -67,11 +67,12 @@ class EpidemicGraph:
     def reverse_csr(self):
         """CSR arrays (indptr, tails, weights) of the transposed graph (cached)."""
         if self._reverse is None:
+            # The forward edges are in (tail, weight) order, so sorting by
+            # (head, position) gives the (head, tail, weight) order; the
+            # packed key is unique and sorts faster than a stable sort.
             tails, heads, weights = self.edge_list()
-            order = np.lexsort((weights, tails, heads))
-            r_indptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.add.at(r_indptr, heads + 1, 1)
-            np.cumsum(r_indptr, out=r_indptr)
+            order = np.argsort(heads * len(heads) + np.arange(len(heads)))
+            r_indptr = _indptr(heads, self.n)
             self._reverse = csr_matrix((weights[order], tails[order], r_indptr),
                                        shape=(self.n, self.n))
         return self._reverse.indptr, self._reverse.indices, self._reverse.data
@@ -103,22 +104,35 @@ class EpidemicGraph:
         return mat
 
 
+def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
+    """CSR row pointers of n rows for edges whose sorted row ids are ``rows``."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr
+
+
 def _assemble(population: PopulationSpec, tails, heads, weights, realized_seed) -> EpidemicGraph:
     tails = np.asarray(tails, dtype=np.int64)
     heads = np.asarray(heads, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.float64)
-    order = np.lexsort((weights, tails))
+    m = len(weights)
+    if m and (min(tails.min(), heads.min()) < 0
+              or max(tails.max(), heads.max()) >= population.n):
+        raise ConfigError("edge endpoint outside the vertex ids 0..n-1")
+    # Order by (tail, weight) with one sort of the unique packed key
+    # tail * m + rank of the weight.  How equal weights are ranked only
+    # matters for a repeated (tail, weight) pair, which is rejected below.
+    rank = np.empty(m, dtype=np.int64)
+    rank[np.argsort(weights)] = np.arange(m)
+    order = np.argsort(tails * m + rank)
     tails, heads, weights = tails[order], heads[order], weights[order]
-    if len(tails) > 1:
+    if m > 1:
         dup = (tails[1:] == tails[:-1]) & (weights[1:] == weights[:-1])
         if dup.any():
             raise NumericError("duplicate out-edge weight realized; resample with a new seed")
-    indptr = np.zeros(population.n + 1, dtype=np.int64)
-    np.add.at(indptr, tails + 1, 1)
-    np.cumsum(indptr, out=indptr)
     return EpidemicGraph(
         population=population,
-        indptr=indptr,
+        indptr=_indptr(tails, population.n),
         heads=heads,
         weights=weights,
         realized_seed=realized_seed,
@@ -136,14 +150,9 @@ def _draw_heads_without_replacement(rng, base: int, n_j: int, counts: np.ndarray
     heads = rng.integers(base, base + n_j, size=total)
     if counts.size == 0 or counts.max() <= 1:
         return heads
-    group = np.repeat(np.arange(len(counts)), counts)
-    order = np.lexsort((heads, group))
-    dup_pair = np.zeros(total, dtype=bool)
-    if total > 1:
-        same = (group[order][1:] == group[order][:-1]) & (heads[order][1:] == heads[order][:-1])
-        dup_idx = order[1:][same]
-        dup_pair[dup_idx] = True
-    bad_groups = np.unique(group[dup_pair])
+    # A collision is a repeated (group, head) pair: a repeated packed key.
+    key = np.sort(np.repeat(np.arange(len(counts)) * n_j, counts) + (heads - base))
+    bad_groups = np.unique(key[1:][key[1:] == key[:-1]] // n_j)
     offsets = np.concatenate(([0], np.cumsum(counts)))
     for g in bad_groups:
         need = int(counts[g])

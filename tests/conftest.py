@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,34 @@ from infector.config import (
     MarkovSEIR,
     ModelConfig,
     PopulationSpec,
+    config_from_dict,
 )
+
+# The README scenario; tests change only the population size.
+README_SCENARIO = {
+    "population": {"n": 10000, "counts": [5000, 5000], "proportions": [0.5, 0.5]},
+    "kernel": {
+        "variant": "markov_seir",
+        "latent": [{"kind": "constant", "value": 0.0},
+                   {"kind": "exponential", "rate": 2.0}],
+        "infectious": [{"kind": "exponential", "rate": 1.0},
+                       {"kind": "gamma", "shape": 2.0, "rate": 2.0}],
+        "contact_rates": [[3.0, 1.5], [1.0, 2.5]],
+    },
+    "initial_infecteds": {"vertices": [0]},
+    "seed": 11,
+}
+
+
+def readme_scenario(n):
+    """The README scenario as a JSON-ready dict, at population size n."""
+    scenario = json.loads(json.dumps(README_SCENARIO))
+    scenario["population"].update(n=n, counts=[n // 2, n - n // 2])
+    return scenario
+
+
+def readme_config(n):
+    return config_from_dict(readme_scenario(n))
 
 
 def single_type_config(n=1000, rate=2.0, seed=0, latent=None, infectious=None):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -266,6 +267,17 @@ def test_rho_bp_deterministic():
     a = estimate_rho_bp(cfg, 2, R=200, horizon=6.0)
     b = estimate_rho_bp(cfg, 2, R=200, horizon=6.0)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+def test_rho_bp_single_replicate_has_nan_stderr():
+    # one sample has no standard error: NaN, as in forward.aggregate_rho,
+    # and no numpy warning
+    cfg = symmetric_marked_config(n=400, m_tilde=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rho, stderr = estimate_rho_bp(cfg, 1, R=1, horizon=6.0, rng=stream(1, "one"))
+    assert np.isfinite(rho).all()
+    assert np.isnan(stderr).all()
 
 
 def test_rho_bp_bad_arguments():

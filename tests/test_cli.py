@@ -1,16 +1,26 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from infector.analytic import analytic_report
+import infector
 from infector import forward
+from infector.analytic import analytic_report
 from infector.cli import main
 from infector.config import config_to_dict
 
-from conftest import marked_config, single_type_config, symmetric_marked_config
+from conftest import (
+    marked_config,
+    readme_scenario,
+    single_type_config,
+    symmetric_marked_config,
+)
 
 
 def _write_config(tmp_path, cfg, name="scenario.json"):
@@ -35,6 +45,19 @@ def _read_csv(path):
 # --------------------------------------------------------------------------
 # exit codes
 # --------------------------------------------------------------------------
+
+def test_cli_import_skips_scipy_stats_and_integrate():
+    # each costs a large share of the CLI's start-up; the package reaches
+    # scipy.integrate only inside eta_cdf, and scipy.stats not at all
+    code = ("import sys, infector.cli; "
+            "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(infector.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
 
 def test_missing_config_file(tmp_path):
     rc = main(["simulate", "--config", str(tmp_path / "nope.json"),
@@ -147,27 +170,9 @@ def test_seed_override_changes_output(tmp_path):
     assert "seed=99" in b.splitlines()[0]
 
 
-# The README scenario; only the population size changes.
-_README_SCENARIO = {
-    "population": {"n": 10000, "counts": [5000, 5000], "proportions": [0.5, 0.5]},
-    "kernel": {
-        "variant": "markov_seir",
-        "latent": [{"kind": "constant", "value": 0.0},
-                   {"kind": "exponential", "rate": 2.0}],
-        "infectious": [{"kind": "exponential", "rate": 1.0},
-                       {"kind": "gamma", "shape": 2.0, "rate": 2.0}],
-        "contact_rates": [[3.0, 1.5], [1.0, 2.5]],
-    },
-    "initial_infecteds": {"vertices": [0]},
-    "seed": 11,
-}
-
-
 def _readme_digests(tmp_path, n, argv, names):
-    scenario = json.loads(json.dumps(_README_SCENARIO))
-    scenario["population"].update(n=n, counts=[n // 2, n - n // 2])
     cfg = tmp_path / f"readme_{n}.json"
-    cfg.write_text(json.dumps(scenario))
+    cfg.write_text(json.dumps(readme_scenario(n)))
     out = tmp_path / f"out_{n}"
     assert main(argv + ["--config", str(cfg), "--no-timestamp",
                         "--output-dir", str(out)]) == 0
@@ -191,6 +196,18 @@ def test_shortest_path_outputs_byte_identical(tmp_path):
     assert backward == {
         "backward.csv": "9b4533008bdb9e56a080a5527dd7473237420a8a983d9ed5c44e583fc3cd1ab6",
     }
+
+
+def test_simulate_default_method_is_eager(tmp_path):
+    cfg = _write_config(tmp_path, symmetric_marked_config(n=600, seed=29))
+    for d, method in (("default", []), ("eager", ["--method", "eager"]),
+                      ("lazy", ["--method", "lazy"])):
+        assert main(["simulate", "--config", cfg, "--replicates", "6", "--no-timestamp",
+                     "--output-dir", str(tmp_path / d)] + method) == 0
+    read = lambda d, name: (tmp_path / d / name).read_bytes()
+    for name in ("replicates.csv", "summary.csv"):
+        assert read("default", name) == read("eager", name)
+    assert read("default", "replicates.csv") != read("lazy", "replicates.csv")
 
 
 def test_bp_estimate_outputs_byte_identical(tmp_path):
@@ -277,6 +294,20 @@ def test_bp_estimate_outputs(tmp_path, capsys):
     assert sh == ["target_type", "rho_1_1", "rho_2_1", "stderr_1", "stderr_2"]
     vals = [float(x) for x in srows[0][1:3]]
     assert all(np.isfinite(vals))
+
+
+def test_bp_estimate_single_replicate(tmp_path):
+    # one replicate has no standard error: nan, without a numpy warning
+    cfg = _write_config(tmp_path, symmetric_marked_config(n=400, seed=1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["bp-estimate", "--config", cfg, "--type", "1", "--replicates", "1",
+                   "--horizon", "6", "--no-timestamp", "--output-dir", str(tmp_path / "o")])
+    assert rc == 0
+    _, header, rows = _read_csv(tmp_path / "o" / "bp_summary.csv")
+    values = dict(zip(header, rows[0]))
+    assert values["stderr_1"] == values["stderr_2"] == "nan"
+    assert math.isfinite(float(values["rho_1_1"]))
 
 
 @pytest.mark.parametrize("bad", [["--horizon", "0"], ["--horizon", "-2"],

@@ -198,7 +198,7 @@ def test_lazy_seed_out_of_range():
 
 def test_lazy_subcritical_no_large_outbreak():
     cfg = single_type_config(n=500, rate=0.5, seed=37)
-    for rec in replicate_records(cfg, 200, threshold=0.05):
+    for rec in replicate_records(cfg, 200, threshold=0.05, method="lazy"):
         assert not rec["large_outbreak"]
 
 
@@ -215,7 +215,7 @@ def test_lazy_eager_final_size_distributions_match():
 
 def test_lazy_final_size_near_one_minus_q():
     cfg = single_type_config(n=5000, rate=2.0, seed=43)
-    records = replicate_records(cfg, 100)
+    records = replicate_records(cfg, 100, method="lazy")
     fracs = np.array([r["final_fraction"] for r in records if r["large_outbreak"]])
     target = 1.0 - fixed_point_q(2.0).value
     se = fracs.std(ddof=1) / math.sqrt(len(fracs))

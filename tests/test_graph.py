@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,10 +6,11 @@ import pytest
 from scipy import stats
 
 from infector.config import Duration, MarkovSEIR, ModelConfig, PopulationSpec
-from infector.errors import NumericError
+from infector.errors import ConfigError, NumericError
 from infector.graph import (
     FIG1_LABELS,
     _assemble,
+    _draw_heads_without_replacement,
     build_graph,
     degree_stats,
     dump_graph,
@@ -17,7 +19,13 @@ from infector.graph import (
 )
 from infector.rng import stream
 
-from conftest import extremal_config, marked_config, single_type_config, symmetric_marked_config
+from conftest import (
+    extremal_config,
+    marked_config,
+    readme_config,
+    single_type_config,
+    symmetric_marked_config,
+)
 
 
 def test_zero_rate_graph_is_empty():
@@ -75,6 +83,13 @@ def test_duplicate_out_weight_is_numeric_error():
         _assemble(pop, [0, 0, 1], [1, 2, 2], [0.5, 0.5, 0.5], realized_seed=0)
 
 
+def test_edge_endpoint_out_of_range_is_config_error():
+    pop = PopulationSpec(n=3, counts=[3], proportions=[1.0])
+    for tails, heads in (([0, -1], [1, 2]), ([0, 3], [1, 2]), ([0, 1], [1, 3])):
+        with pytest.raises(ConfigError):
+            _assemble(pop, tails, heads, [0.5, 0.25], realized_seed=0)
+
+
 def test_reverse_csr_oracle():
     g = build_graph(symmetric_marked_config(n=300, seed=4))
     r_indptr, r_tails, r_weights = g.reverse_csr()
@@ -87,6 +102,74 @@ def test_reverse_csr_oracle():
         for e in range(r_indptr[v], r_indptr[v + 1]):
             rev.add((int(r_tails[e]), v, float(r_weights[e])))
     assert fwd == rev
+
+
+def _digests(graph):
+    """sha256 of the forward CSR arrays and of the transposed CSR arrays."""
+    def digest(arrays):
+        h = hashlib.sha256()
+        for a in arrays:
+            h.update(np.ascontiguousarray(a).tobytes())
+        return h.hexdigest()
+
+    return {"forward": digest((graph.indptr, graph.heads, graph.weights)),
+            "reverse": digest(graph.reverse_csr())}
+
+
+# Digests recorded with the edge ordering done by np.lexsort; a fixed
+# seed must reproduce the same arrays byte for byte.
+
+def test_build_byte_identical_readme():
+    assert _digests(build_graph(readme_config(2000))) == {
+        "forward": "d73615efef3e5bc9511484c426b58fed0f0ad1dd6fc12d17554aadc2bf3f97f4",
+        "reverse": "a964ce027b9bfa1c90c742da710519c32850ca0928948cb45c8461461631060e",
+    }
+
+
+def test_build_byte_identical_extremal():
+    assert _digests(build_graph(extremal_config(n=2000, seed=19))) == {
+        "forward": "388cf55b4839f5dbfdec519f702a8a408970acce4c808a5a605b0869e7ba051d",
+        "reverse": "d2361cf4e8449b83402b4ee673b0a49e49fa74f8db2cd28109a9d8c9880603c4",
+    }
+
+
+def test_build_byte_identical_with_sequential_redraw():
+    # 12 vertices and about six contacts each: most tails draw a repeated
+    # head, so most groups go through the sequential redraw
+    assert _digests(build_graph(single_type_config(n=12, rate=6.0, seed=23))) == {
+        "forward": "0d6ce9bbcd2fdb95ea9eab73f6d1d5edf8fcebdaf24219d020c7e768d7bc797e",
+        "reverse": "06b3df59777cc38960905bdc69a2e7529673ebc20594b3580b9cd631f774f25f",
+    }
+
+
+def test_edge_order_matches_lexsort():
+    # weights from a small set tie across tails, never within one tail
+    rng = np.random.default_rng(29)
+    pop = PopulationSpec(n=40, counts=[40], proportions=[1.0])
+    for _ in range(20):
+        tails = np.repeat(np.arange(40), rng.integers(0, 6, size=40))
+        rng.shuffle(tails)
+        weights = np.zeros(len(tails))
+        for t in range(40):
+            at = np.flatnonzero(tails == t)
+            weights[at] = rng.permutation(8)[: len(at)] + 1.0
+        heads = rng.integers(0, 40, size=len(tails))
+        g = _assemble(pop, tails, heads, weights, realized_seed=0)
+        order = np.lexsort((weights, tails))
+        assert np.array_equal(g.heads, heads[order])
+        assert np.array_equal(g.weights, weights[order])
+        rev = np.lexsort((weights, tails, heads))
+        _, r_tails, r_weights = g.reverse_csr()
+        assert np.array_equal(r_tails, tails[rev])
+        assert np.array_equal(r_weights, weights[rev])
+
+
+def test_head_draws_pinned():
+    # a group of 5 out of 5 collides unless the first draws form a
+    # permutation (probability 5!/5^5)
+    heads = _draw_heads_without_replacement(np.random.default_rng(7), 10, 5,
+                                            np.array([5, 1, 4, 0, 2, 5]))
+    assert heads.tolist() == [13, 10, 12, 14, 11, 13, 11, 13, 14, 12, 11, 14, 12, 14, 13, 11, 10]
 
 
 # --------------------------------------------------------------------------
