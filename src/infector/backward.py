@@ -6,8 +6,9 @@ materialized graph this is a shortest-path search on the transposed
 graph (``scipy.sparse.csgraph.dijkstra`` with a distance limit), which
 is law-equivalent to the incremental reveal used for coupling
 arguments; the reveal's flag events survive here only as a diagnostic
-collision counter.  Restricted sets are breadth-first reachable sets
-of a masked transposed graph.
+collision counter.  Snapshots hold sorted id arrays built from length-n
+masks.  Restricted sets are breadth-first reachable sets of a masked
+transposed graph.
 """
 
 from __future__ import annotations
@@ -31,14 +32,18 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(kw_only=True)
 class SusceptibilitySnapshot:
-    """State of a backward exploration of one root up to a time horizon."""
+    """One root's backward exploration to a horizon; ids are sorted int64 arrays."""
 
     root: int
-    explored: dict  # vertex -> distance to root, root included at 0
-    active: set  # (vertex, best-known distance) with distance > horizon
-    passive: set  # heads of revealed out-edges, not explored or active
+    # distance and active_distance may be left out (None) by the loop
+    # oracle in tests/oracles.py, which keeps distances in dict/set form.
+    explored: np.ndarray  # vertices within the horizon, root included
+    distance: np.ndarray = None  # their distances to the root
+    active: np.ndarray  # vertices one reverse edge beyond the horizon
+    active_distance: np.ndarray = None  # their best tentative distances
+    passive: np.ndarray  # out-neighbours of explored or active vertices that are neither
     flagged: bool
     collision_count: int
     horizon: float
@@ -63,6 +68,13 @@ def _row_entries(indptr, rows):
     return starts + np.arange(len(owner)), owner
 
 
+def _check_root(graph: EpidemicGraph, v) -> int:
+    """Root v as an int; DomainError unless it is a vertex id of graph."""
+    if not (isinstance(v, (int, np.integer)) and 0 <= v < graph.n):
+        raise DomainError(f"root {v!r} is not a vertex id in 0..{graph.n - 1}")
+    return int(v)
+
+
 def explore_susceptibility(graph: EpidemicGraph, v: int, t_star: float) -> SusceptibilitySnapshot:
     """Reverse shortest paths from v, keeping vertices with distance <= t_star.
 
@@ -72,8 +84,9 @@ def explore_susceptibility(graph: EpidemicGraph, v: int, t_star: float) -> Susce
     discovers a new vertex, so the count is the number of those edges
     minus the vertices discovered besides v.
     """
-    if t_star < 0:
-        raise DomainError("t_star must be >= 0")
+    v = _check_root(graph, v)
+    if not t_star >= 0:  # also rejects NaN
+        raise DomainError(f"t_star must be >= 0, got {t_star}")
     rev = graph.reverse_matrix()
     dist = dijkstra(rev, indices=v, limit=t_star)
     inside = np.isfinite(dist) & (dist <= t_star)
@@ -82,25 +95,20 @@ def explore_susceptibility(graph: EpidemicGraph, v: int, t_star: float) -> Susce
     edges, owner = _row_entries(rev.indptr, explored)
     reached = rev.indices[edges]
     outside = ~inside[reached]
-    frontier = reached[outside]
     best = np.full(graph.n, np.inf)
-    np.minimum.at(best, frontier, dist[owner[outside]] + rev.data[edges[outside]])
-    active = np.unique(frontier)
-    discovered = np.union1d(explored, active)
+    np.minimum.at(best, reached[outside], dist[owner[outside]] + rev.data[edges[outside]])
+    active = np.flatnonzero(np.isfinite(best))
+    discovered = np.concatenate((explored, active))
 
-    heads = graph.heads[_row_entries(graph.indptr, discovered)[0]]
-    passive = np.setdiff1d(heads, discovered)
-    collisions = len(edges) - (len(discovered) - 1)
+    heads = np.zeros(graph.n, dtype=bool)
+    heads[graph.heads[_row_entries(graph.indptr, discovered)[0]]] = True
+    heads[discovered] = False
+    collisions = len(edges) - (len(explored) + len(active) - 1)
     return SusceptibilitySnapshot(
-        root=int(v),
-        explored=dict(zip(explored.tolist(), dist[explored].tolist())),
-        active=set(zip(active.tolist(), best[active].tolist())),
-        passive=set(passive.tolist()),
-        flagged=collisions > 0,
-        collision_count=collisions,
-        horizon=float(t_star),
-        population=graph.population,
-    )
+        root=v, explored=explored, distance=dist[explored], active=active,
+        active_distance=best[active], passive=np.flatnonzero(heads),
+        flagged=collisions > 0, collision_count=collisions, horizon=float(t_star),
+        population=graph.population)
 
 
 def susceptibility_counts(snapshot: SusceptibilitySnapshot, t: float, a: float, j: int) -> int:
@@ -109,15 +117,10 @@ def susceptibility_counts(snapshot: SusceptibilitySnapshot, t: float, a: float, 
         raise OutOfHorizonError(f"t={t} beyond explored horizon {snapshot.horizon}")
     if t < 0 or a < 0:
         raise DomainError("t and a must be >= 0")
-    pop = snapshot.population
-    j0 = int(j) - 1
-    if not 0 <= j0 < pop.k:
-        raise DomainError("type index out of range")
-    return sum(
-        1
-        for u, d in snapshot.explored.items()
-        if d <= t and d > t - a and pop.type_of(u) == j0
-    )
+    j0 = snapshot.population.type_index(j)
+    d = snapshot.distance
+    in_type = snapshot.population.type_of(snapshot.explored) == j0
+    return int(np.count_nonzero((d <= t) & (d > t - a) & in_type))
 
 
 @dataclass(frozen=True)
@@ -132,12 +135,11 @@ def restricted_susceptibility_size(graph: EpidemicGraph, v_star: int, i: int, j:
     head does not have type j; v_star must have type j.  The count
     includes v_star itself.
     """
+    v_star = _check_root(graph, v_star)
     pop = graph.population
-    i0, j0 = int(i) - 1, int(j) - 1
-    if not (0 <= i0 < pop.k and 0 <= j0 < pop.k):
-        raise DomainError("type index out of range")
+    i0, j0 = pop.type_index(i), pop.type_index(j)
     if pop.type_of(v_star) != j0:
         raise DomainError(f"v_star={v_star} is not of type {j}")
-    reached = breadth_first_order(graph.reverse_matrix((i0, j0)), int(v_star),
+    reached = breadth_first_order(graph.reverse_matrix((i0, j0)), v_star,
                                   return_predecessors=False)
     return RestrictedSetSize(y=len(reached))

@@ -186,18 +186,10 @@ def _simulate_batch(config: ModelConfig, root_types0: np.ndarray, horizon: float
     return sizes, last_birth, capped
 
 
-def _type_index(config: ModelConfig, root_type: int) -> int:
-    """0-based index of a 1-based type; DomainError when out of range."""
-    j0 = int(root_type) - 1
-    if not 0 <= j0 < config.k:
-        raise DomainError(f"type {root_type} out of range 1..{config.k}")
-    return j0
-
-
 def _check_bp_args(config: ModelConfig, root_type: int, R: int, horizon: float,
                    cap: int) -> int:
     """Shared argument check of the Monte Carlo entry points; returns the 0-based root type."""
-    j0 = _type_index(config, root_type)
+    j0 = config.population.type_index(root_type)
     if R < 1:
         raise DomainError("need at least one replicate")
     if not horizon > 0:
@@ -256,7 +248,7 @@ def survival_probability(config: ModelConfig, root_type: int) -> float:
     mb = backward_mean_matrix(config)
     if r0(mb, require_irreducible=False) <= 1.0:
         raise DomainError("survival probability requires R0 > 1")
-    j0 = _type_index(config, root_type)
+    j0 = config.population.type_index(root_type)
     q = extinction_probs(mb)
     return float(1.0 - q[j0])
 

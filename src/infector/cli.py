@@ -143,19 +143,23 @@ def cmd_simulate(args) -> int:
 def cmd_backward(args) -> int:
     config = _load_valid_config(args.config)
     seed = config.seed if args.seed is None else args.seed
-    rng = rngmod.stream(seed, "backward-roots")
-    graph = build_graph(config, rngmod.stream(seed, "graph"))
     pop = config.population
-
     if args.roots:
-        roots = [int(v) for v in args.roots.split(",")]
+        try:
+            roots = [int(v) for v in args.roots.split(",")]
+        except ValueError:
+            raise DomainError(f"--roots takes comma-separated integers: {args.roots!r}") from None
+    elif args.roots_per_type < 0:
+        raise DomainError("--roots-per-type must be >= 0")
     else:
+        rng = rngmod.stream(seed, "backward-roots")
         roots = []
         for j0 in range(pop.k):
             ids = pop.vertices_of_type(j0)
             pick = rng.choice(ids, size=min(args.roots_per_type, len(ids)),
                               replace=False)
             roots.extend(int(v) for v in np.sort(pick))
+    graph = build_graph(config, rngmod.stream(seed, "graph"))
     if args.t_star is not None:
         t_star = args.t_star
     else:

@@ -190,6 +190,13 @@ class PopulationSpec:
     def boundaries(self) -> np.ndarray:
         return self._boundaries
 
+    def type_index(self, j) -> int:
+        """0-based index of a 1-based type j; DomainError when out of range."""
+        j0 = int(j) - 1
+        if not 0 <= j0 < self.k:
+            raise DomainError(f"type {j} out of range 1..{self.k}")
+        return j0
+
     def type_of(self, v):
         """0-based type index of vertex id(s) v, O(log K) per query."""
         return np.searchsorted(self._boundaries, np.asarray(v), side="right") - 1

@@ -16,13 +16,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from . import rng as rngmod
-from .config import (
-    Duration,
-    ExtremalTwoType,
-    MarkedSingleProcess,
-    ModelConfig,
-    PopulationSpec,
-)
+from .config import ExtremalTwoType, ModelConfig, PopulationSpec
 from .errors import ConfigError, NumericError
 
 __all__ = [

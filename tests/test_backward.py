@@ -46,14 +46,25 @@ def test_zero_horizon_only_root():
     for name in "af":
         v = FIG1_LABELS[name]
         snap = explore_susceptibility(g, v, 0.0)
-        assert set(snap.explored) == {v}
-        assert snap.explored[v] == 0.0
+        assert snap.explored.tolist() == [v]
+        assert snap.distance.tolist() == [0.0]
 
 
 def test_negative_horizon_rejected():
     g = fixture_graph_fig1()
     with pytest.raises(DomainError):
         explore_susceptibility(g, 0, -0.1)
+
+
+def test_nan_horizon_and_bad_root_rejected():
+    g = fixture_graph_fig1()
+    with pytest.raises(DomainError, match="t_star"):
+        explore_susceptibility(g, 0, math.nan)
+    for bad in (-1, g.n, 1.5, "0"):
+        with pytest.raises(DomainError, match=f"0..{g.n - 1}"):
+            explore_susceptibility(g, bad, 1.0)
+        with pytest.raises(DomainError, match=f"0..{g.n - 1}"):
+            restricted_susceptibility_size(g, bad, 1, 1)
 
 
 # --------------------------------------------------------------------------
@@ -106,21 +117,37 @@ def test_counts_bad_arguments():
 def test_snapshot_sets_disjoint_and_bounded():
     g = build_graph(symmetric_marked_config(n=500, seed=71))
     snap = explore_susceptibility(g, 5, 1.5)
-    explored = set(snap.explored)
-    active = {u for u, _ in snap.active}
-    assert all(d <= snap.horizon for d in snap.explored.values())
-    assert all(d > snap.horizon for _, d in snap.active)
+    explored, active, passive = (set(a.tolist()) for a in
+                                 (snap.explored, snap.active, snap.passive))
+    assert (snap.distance <= snap.horizon).all()
+    assert (snap.active_distance > snap.horizon).all()
+    assert len(snap.active_distance) == len(snap.active) > 0
+    assert passive
     assert not explored & active
-    assert not explored & snap.passive
-    assert not active & snap.passive
+    assert not explored & passive
+    assert not active & passive
     assert snap.flagged == (snap.collision_count > 0)
+
+
+def test_snapshot_arrays_sorted_and_typed():
+    g = build_graph(symmetric_marked_config(n=500, seed=71))
+    for v in (0, 5, 499):
+        for t in (0.0, 1.5, math.inf):
+            snap = explore_susceptibility(g, v, t)
+            for ids in (snap.explored, snap.active, snap.passive):
+                assert ids.dtype == np.int64
+                assert (np.diff(ids) > 0).all()
+            assert len(snap.distance) == len(snap.explored)
+            assert len(snap.active_distance) == len(snap.active)
+            at = np.searchsorted(snap.explored, v)
+            assert snap.explored[at] == v and snap.distance[at] == 0.0
 
 
 def test_explored_nested_in_horizon():
     g = build_graph(symmetric_marked_config(n=500, seed=73))
     prev = set()
     for t in (0.0, 0.5, 1.0, 2.0, 4.0, math.inf):
-        cur = set(explore_susceptibility(g, 3, t).explored)
+        cur = set(explore_susceptibility(g, 3, t).explored.tolist())
         assert prev <= cur
         prev = cur
 
@@ -132,15 +159,17 @@ def test_reverse_distances_match_transposed_dijkstra():
     for v in (0, 17, 350):
         snap = explore_susceptibility(g, v, math.inf)
         oracle = scipy_dijkstra(mat, indices=v)
-        for u, d in snap.explored.items():
+        for u, d in zip(snap.explored, snap.distance):
             assert d == pytest.approx(oracle[u], rel=1e-12)
-        assert np.isinf(oracle[np.setdiff1d(np.arange(g.n), list(snap.explored))]).all()
+        assert np.isinf(oracle[np.setdiff1d(np.arange(g.n), snap.explored)]).all()
 
 
 def _assert_same_snapshot(new, old):
-    assert new.explored == old.explored  # keys and exact distances
-    assert new.active == old.active
-    assert new.passive == old.passive
+    # the oracle holds explored as {vertex: distance} and active as a
+    # set of (vertex, distance): compare keys and exact distances
+    assert dict(zip(new.explored.tolist(), new.distance.tolist())) == old.explored
+    assert set(zip(new.active.tolist(), new.active_distance.tolist())) == old.active
+    assert set(new.passive.tolist()) == old.passive
     assert new.collision_count == old.collision_count
     assert new.flagged == old.flagged
 
@@ -192,7 +221,7 @@ def test_duality_small_graphs():
         n = int(rng.integers(2, 13))
         g = _random_graph(rng, n, int(rng.integers(0, 3 * n)))
         v = int(rng.integers(0, n))
-        members = set(explore_susceptibility(g, v, math.inf).explored)
+        members = set(explore_susceptibility(g, v, math.inf).explored.tolist())
         for u in range(n):
             infected = np.isfinite(run_epidemic(g, [u]).sigma[v])
             assert (u in members) == infected
@@ -206,7 +235,7 @@ def test_duality_time_sliced():
         g = _random_graph(rng, n, int(rng.integers(0, 3 * n)))
         v = int(rng.integers(0, n))
         t = float(rng.random() * 2)
-        members = set(explore_susceptibility(g, v, t).explored)
+        members = set(explore_susceptibility(g, v, t).explored.tolist())
         for u in range(n):
             assert (u in members) == (run_epidemic(g, [u]).sigma[v] <= t)
 

@@ -280,6 +280,25 @@ def test_backward_explicit_roots(tmp_path):
     assert [r[0] for r in rows] == ["0", "5", "250"]
 
 
+@pytest.mark.parametrize("bad, says", [
+    pytest.param(["--roots", "2000"], "0..1999", id="--roots 2000"),
+    pytest.param(["--roots", "-1"], "0..1999", id="--roots -1"),
+    pytest.param(["--roots", "x"], "--roots", id="--roots x"),
+    pytest.param(["--roots", "5,1.5"], "--roots", id="--roots 5,1.5"),
+    pytest.param(["--roots-per-type", "-3"], "--roots-per-type", id="--roots-per-type -3"),
+    pytest.param(["--t-star", "nan"], "t_star", id="--t-star nan"),
+    pytest.param(["--t-star", "-1"], "t_star", id="--t-star -1"),
+])
+def test_backward_bad_arguments_are_usage_errors(tmp_path, capsys, bad, says):
+    cfg = _write_config(tmp_path, marked_config(2000, 0.4, 3.0, 2.0, seed=19))
+    rc = main(["backward", "--config", cfg, "--roots-per-type", "2",
+               "--output-dir", str(tmp_path / "o")] + bad)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and says in err and "Traceback" not in err
+    assert not (tmp_path / "o" / "backward.csv").exists()
+
+
 def test_bp_estimate_outputs(tmp_path, capsys):
     cfg = _write_config(tmp_path, symmetric_marked_config(n=400, seed=21))
     rc = main(["bp-estimate", "--config", cfg, "--type", "1",
