@@ -115,8 +115,8 @@ def susceptibility_counts(snapshot: SusceptibilitySnapshot, t: float, a: float, 
     """Count type-j members of the t-slice whose distance exceeds t - a."""
     if t > snapshot.horizon:
         raise OutOfHorizonError(f"t={t} beyond explored horizon {snapshot.horizon}")
-    if t < 0 or a < 0:
-        raise DomainError("t and a must be >= 0")
+    if not (t >= 0 and a >= 0):  # also rejects NaN
+        raise DomainError(f"t and a must be >= 0, got t={t}, a={a}")
     j0 = snapshot.population.type_index(j)
     d = snapshot.distance
     in_type = snapshot.population.type_of(snapshot.explored) == j0

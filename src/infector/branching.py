@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import rng as rngmod
-from .analytic import extinction_probs, r0
+from .analytic import _bisect, extinction_probs, r0
 from .config import ModelConfig, mean_matrix
 from .errors import CapExceededError, DomainError, NoDataError, NumericError
 
@@ -105,15 +105,7 @@ def solve_malthusian(config: ModelConfig) -> MalthusianSolution:
         lo, hi = hi, hi * 2.0
         if hi > 1e12:
             raise NumericError("failed to bracket the Malthusian parameter")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if g(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    alpha = 0.5 * (lo + hi)
+    alpha, _ = _bisect(g, lo, hi)
     residual = abs(g(alpha))
     if residual >= 1e-10:
         raise NumericError(f"Malthusian residual {residual:.3g} too large")

@@ -4,8 +4,11 @@ Subcommands: simulate, backward, bp-estimate, bounds, verify, sweep.
 Scenarios are JSON files (see README for the schema); outputs are CSV
 with header rows and 17-significant-digit reals.  Every output embeds
 the config hash and seed; existing files are never overwritten without
---force.  Exit status: 0 all verdicts pass, 1 verdict failure, 2 usage
-or configuration error, 3 numeric failure.
+--force.  ``main`` loads the config, resolves the seed and opens every
+output a subcommand declares before any work, so a bad config or an
+existing output exits 2 with nothing written.  Exit status: 0 all
+verdicts pass, 1 verdict failure, 2 usage, configuration or path error,
+3 numeric failure.
 """
 
 from __future__ import annotations
@@ -31,11 +34,12 @@ from .config import (
     ExtremalTwoType,
     MarkedSingleProcess,
     ModelConfig,
+    config_to_dict,
     load_config,
     mean_matrix,
     validate_config,
 )
-from .errors import ConfigError, DomainError, InfectorError, NoDataError, NumericError
+from .errors import ConfigError, DomainError, InfectorError, NoDataError
 from .forward import aggregate_rho, replicate_records, replicate_rho
 from .graph import build_graph
 
@@ -58,8 +62,6 @@ def _fmt(x) -> str:
 
 
 def _config_hash(config: ModelConfig) -> str:
-    from .config import config_to_dict
-
     blob = json.dumps(config_to_dict(config), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -95,18 +97,20 @@ def _load_valid_config(path: str) -> ModelConfig:
     return config
 
 
-def _out_path(args, name: str) -> str:
-    os.makedirs(args.output_dir, exist_ok=True)
-    return os.path.join(args.output_dir, name)
+def _marked_params(config: ModelConfig, kern):
+    """(p1, m1_tilde, m2_tilde) when kern is a two-type marked_single kernel, else None."""
+    if not isinstance(kern, MarkedSingleProcess) or kern.k != 2:
+        return None
+    m1, m2 = (float(rate * d.mean()) for rate, d in zip(kern.total_rates, kern.infectious))
+    return float(config.population.proportions[0]), m1, m2
 
 
 # --------------------------------------------------------------------------
-# subcommands
+# subcommands: cmd_x(args, config, seed, out) computes and writes; ``out``
+# maps each declared output name to its CsvWriter.
 # --------------------------------------------------------------------------
 
-def cmd_simulate(args) -> int:
-    config = _load_valid_config(args.config)
-    seed = config.seed if args.seed is None else args.seed
+def cmd_simulate(args, config, seed, out) -> int:
     records = replicate_records(
         config, args.replicates, threshold=args.threshold,
         master_seed=seed, method=args.method, threads=args.threads,
@@ -119,9 +123,7 @@ def cmd_simulate(args) -> int:
         + list(rec["rho"].ravel())
         for rec in records
     ]
-    chash = _config_hash(config)
-    CsvWriter(_out_path(args, "replicates.csv"), args.force, args.no_timestamp,
-              chash, seed).write(header, rows)
+    out["replicates.csv"].write(header, rows)
 
     sum_header = ["statistic"] + rho_cols + ["replicates_used", "replicates_total"]
     try:
@@ -133,16 +135,13 @@ def cmd_simulate(args) -> int:
         used = est.replicates_used
         sum_rows = [["mean"] + list(est.mean.ravel()) + [used, args.replicates],
                     ["stderr"] + list(est.stderr.ravel()) + [used, args.replicates]]
-    CsvWriter(_out_path(args, "summary.csv"), args.force, args.no_timestamp,
-              chash, seed).write(sum_header, sum_rows)
+    out["summary.csv"].write(sum_header, sum_rows)
     print(f"wrote {args.replicates} replicates ({used} large outbreaks) "
           f"to {args.output_dir}")
     return EXIT_PASS
 
 
-def cmd_backward(args) -> int:
-    config = _load_valid_config(args.config)
-    seed = config.seed if args.seed is None else args.seed
+def cmd_backward(args, config, seed, out) -> int:
     pop = config.population
     if args.roots:
         try:
@@ -175,57 +174,41 @@ def cmd_backward(args) -> int:
                      snap.flagged])
     header = ["root", "root_type", "explored", "restricted_size",
               "collisions", "flagged"]
-    CsvWriter(_out_path(args, "backward.csv"), args.force, args.no_timestamp,
-              _config_hash(config), seed).write(header, rows)
+    out["backward.csv"].write(header, rows)
     print(f"explored {len(roots)} roots at t_star={t_star:.6g}")
     return EXIT_PASS
 
 
-def cmd_bp_estimate(args) -> int:
-    config = _load_valid_config(args.config)
-    seed = config.seed if args.seed is None else args.seed
+def cmd_bp_estimate(args, config, seed, out) -> int:
     rng = rngmod.stream(seed, "bp-estimate", args.type)
     rho, stderr, contrib = estimate_rho_bp(
         config, args.type, args.replicates, horizon=args.horizon,
         rng=rng, cap=args.cap, details=True,
     )
     k = config.k
-    chash = _config_hash(config)
     header = ["replicate"] + [f"share_{i}" for i in range(1, k + 1)]
     rows = [[r] + list(contrib[r]) for r in range(args.replicates)]
-    CsvWriter(_out_path(args, "bp_replicates.csv"), args.force,
-              args.no_timestamp, chash, seed).write(header, rows)
+    out["bp_replicates.csv"].write(header, rows)
     sum_header = (["target_type"]
                   + [f"rho_{i}_{args.type}" for i in range(1, k + 1)]
                   + [f"stderr_{i}" for i in range(1, k + 1)])
-    CsvWriter(_out_path(args, "bp_summary.csv"), args.force,
-              args.no_timestamp, chash, seed).write(
-        sum_header, [[args.type] + list(rho) + list(stderr)]
-    )
+    out["bp_summary.csv"].write(sum_header, [[args.type] + list(rho) + list(stderr)])
     shown = ", ".join(f"rho_{i + 1}{args.type}={rho[i]:.4f}" for i in range(k))
     print(shown)
     return EXIT_PASS
 
 
-def _bounds_params(args):
-    if args.config:
-        config = _load_valid_config(args.config)
+def cmd_bounds(args, config, seed, out) -> int:
+    if config is not None:
         kern = config.kernel
-        if isinstance(kern, ExtremalTwoType):
-            kern = kern.base
-        if not isinstance(kern, MarkedSingleProcess) or kern.k != 2:
+        params = _marked_params(config, kern.base if isinstance(kern, ExtremalTwoType) else kern)
+        if params is None:
             raise ConfigError("bounds require a two-type marked_single kernel")
-        p1 = float(config.population.proportions[0])
-        m1 = float(kern.total_rates[0] * kern.infectious[0].mean())
-        m2 = float(kern.total_rates[1] * kern.infectious[1].mean())
-        return p1, m1, m2, config
-    if args.p1 is None or args.m1 is None or args.m2 is None:
+    elif None in (args.p1, args.m1, args.m2):
         raise ConfigError("bounds need either --config or all of --p1 --m1 --m2")
-    return args.p1, args.m1, args.m2, None
-
-
-def cmd_bounds(args) -> int:
-    p1, m1, m2, config = _bounds_params(args)
+    else:
+        params = args.p1, args.m1, args.m2
+    p1, m1, m2 = params
     report = analytic_report(p1, m1, m2)
     width = max(len(name) for name, _ in report.rows())
     print(f"{'p1':<{width}}  {p1:.6g}")
@@ -233,20 +216,15 @@ def cmd_bounds(args) -> int:
     print(f"{'m2_tilde':<{width}}  {m2:.6g}")
     for name, value in report.rows():
         print(f"{name:<{width}}  {value:.12g}")
-    if args.output_dir:
+    if out:
         header = ["p1", "m1_tilde", "m2_tilde"] + [n for n, _ in report.rows()]
-        row = [p1, m1, m2] + [v for _, v in report.rows()]
-        chash = _config_hash(config) if config else ""
-        CsvWriter(_out_path(args, "bounds.csv"), args.force, args.no_timestamp,
-                  chash, config.seed if config else 0).write(header, [row])
+        out["bounds.csv"].write(header, [[p1, m1, m2] + [v for _, v in report.rows()]])
     return EXIT_PASS
 
 
-def cmd_verify(args) -> int:
-    config = _load_valid_config(args.config)
+def cmd_verify(args, config, seed, out) -> int:
     if args.replicates < 1:
         raise ConfigError("verify needs at least one replicate")
-    seed = config.seed if args.seed is None else args.seed
     m = mean_matrix(config)
     basic = r0(m.entries)
     if basic <= 1.0:
@@ -268,12 +246,9 @@ def cmd_verify(args) -> int:
     checks.append(("attribution-columns-sum", 1.0, 1.0 + col_err, 1e-12,
                    col_err < 1e-12))
 
-    kern = config.kernel
-    if isinstance(kern, MarkedSingleProcess) and kern.k == 2:
-        p1 = float(config.population.proportions[0])
-        m1 = float(kern.total_rates[0] * kern.infectious[0].mean())
-        m2 = float(kern.total_rates[1] * kern.infectious[1].mean())
-        report = analytic_report(p1, m1, m2)
+    params = _marked_params(config, config.kernel)
+    if params is not None:
+        report = analytic_report(*params)
         rho1 = float(np.nanmean(est.mean[0]))
         inside = report.rho1_minus - args.slack <= rho1 <= report.rho1_plus + args.slack
         checks.append(("sandwich-lower", report.rho1_minus, rho1, args.slack,
@@ -287,38 +262,34 @@ def cmd_verify(args) -> int:
     for name, target, measured, tol, ok in checks:
         print(f"{'PASS' if ok else 'FAIL'}  {name}: measured {measured:.6g} "
               f"(target {target:.6g}, tol {tol:.3g})")
-    if args.output_dir:
-        CsvWriter(_out_path(args, "verify.csv"), args.force, args.no_timestamp,
-                  _config_hash(config), seed).write(header, rows)
+    out["verify.csv"].write(header, rows)
     return EXIT_PASS if all(ok for *_, ok in checks) else EXIT_VERDICT
 
 
-def _grid(text: str):
-    return [float(x) for x in text.split(",")]
+def _grid(text: str) -> list:
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
 
 
-def cmd_sweep(args) -> int:
-    p1s = _grid(args.p1_grid)
-    m1s = _grid(args.m1_grid)
-    m2s = _grid(args.m2_grid)
-    if not (p1s and m1s and m2s):
-        raise ConfigError("sweep grid must be nonempty")
+def cmd_sweep(args, config, seed, out) -> int:
     names = ["r0", "q", "q_tilde_1", "q_tilde_2", "q1", "q2",
              "rho1_minus", "rho1_plus"]
     header = ["p1", "m1_tilde", "m2_tilde"] + names + ["error"]
     rows = []
-    for p1 in p1s:
-        for m1 in m1s:
-            for m2 in m2s:
+    for p1 in args.p1_grid:
+        for m1 in args.m1_grid:
+            for m2 in args.m2_grid:
                 try:
                     rep = analytic_report(p1, m1, m2)
                     rows.append([p1, m1, m2] + [v for _, v in rep.rows()] + [""])
                 except InfectorError as exc:
                     rows.append([p1, m1, m2] + [np.nan] * len(names)
                                 + [type(exc).__name__])
-    out = _out_path(args, "sweep.csv")
-    CsvWriter(out, args.force, args.no_timestamp, "", args.seed or 0).write(header, rows)
-    print(f"wrote {len(rows)} grid points to {out}")
+    out["sweep.csv"].write(header, rows)
+    print(f"wrote {len(rows)} grid points to {out['sweep.csv'].path}")
     return EXIT_PASS
 
 
@@ -354,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "lazy draws contacts only for infected vertices "
                         "(same law, different draws)")
     s.add_argument("--threads", type=int, default=1)
-    s.set_defaults(func=cmd_simulate)
+    s.set_defaults(func=cmd_simulate, outputs=("replicates.csv", "summary.csv"))
 
     s = sub.add_parser("backward", help="susceptibility-set exploration")
     _add_common(s)
@@ -363,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--roots-per-type", type=int, default=10)
     s.add_argument("--t-star", type=float, default=None)
     s.add_argument("--kappa", type=float, default=0.5)
-    s.set_defaults(func=cmd_backward)
+    s.set_defaults(func=cmd_backward, outputs=("backward.csv",))
 
     s = sub.add_parser("bp-estimate", help="branching-process attribution")
     _add_common(s)
@@ -372,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--horizon", type=float, default=None,
                    help="default 12/alpha")
     s.add_argument("--cap", type=int, default=1_000_000)
-    s.set_defaults(func=cmd_bp_estimate)
+    s.set_defaults(func=cmd_bp_estimate, outputs=("bp_replicates.csv", "bp_summary.csv"))
 
     s = sub.add_parser("bounds", help="analytic fixed points and bounds")
     s.add_argument("--config", default=None, help="JSON scenario file")
@@ -383,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write bounds.csv here")
     s.add_argument("--force", action="store_true")
     s.add_argument("--no-timestamp", action="store_true")
-    s.set_defaults(func=cmd_bounds)
+    s.set_defaults(func=cmd_bounds, outputs=("bounds.csv",))
 
     s = sub.add_parser("verify", help="cross-validation check suite")
     _add_common(s)
@@ -392,17 +363,18 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--threads", type=int, default=1)
     s.add_argument("--slack", type=float, default=0.02,
                    help="statistical slack for bound checks")
-    s.set_defaults(func=cmd_verify)
+    s.set_defaults(func=cmd_verify, outputs=("verify.csv",))
 
     s = sub.add_parser("sweep", help="analytic report over a parameter grid")
     s.add_argument("--seed", type=int, default=None)
     s.add_argument("--output-dir", default="out")
     s.add_argument("--force", action="store_true")
     s.add_argument("--no-timestamp", action="store_true")
-    s.add_argument("--p1-grid", required=True, help="comma-separated p1 values")
-    s.add_argument("--m1-grid", required=True)
-    s.add_argument("--m2-grid", required=True)
-    s.set_defaults(func=cmd_sweep)
+    s.add_argument("--p1-grid", type=_grid, required=True,
+                   help="comma-separated p1 values")
+    s.add_argument("--m1-grid", type=_grid, required=True)
+    s.add_argument("--m2-grid", type=_grid, required=True)
+    s.set_defaults(func=cmd_sweep, outputs=("sweep.csv",))
 
     return parser
 
@@ -414,11 +386,23 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
-    except (ConfigError, DomainError, FileNotFoundError) as exc:
+        # Everything that can refuse the run happens here, before any work.
+        config = _load_valid_config(args.config) if getattr(args, "config", None) else None
+        seed = getattr(args, "seed", None)
+        if seed is None:
+            seed = config.seed if config else 0
+        out = {}
+        if args.output_dir is not None:  # only bounds may have no output directory
+            os.makedirs(args.output_dir, exist_ok=True)
+            chash = _config_hash(config) if config else ""
+            out = {name: CsvWriter(os.path.join(args.output_dir, name), args.force,
+                                   args.no_timestamp, chash, seed)
+                   for name in args.outputs}
+        return args.func(args, config, seed, out)
+    except (ConfigError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NumericError, InfectorError) as exc:
+    except InfectorError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

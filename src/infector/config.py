@@ -191,11 +191,10 @@ class PopulationSpec:
         return self._boundaries
 
     def type_index(self, j) -> int:
-        """0-based index of a 1-based type j; DomainError when out of range."""
-        j0 = int(j) - 1
-        if not 0 <= j0 < self.k:
+        """0-based index of a 1-based type j; DomainError unless j is an integer in 1..K."""
+        if not (float(j).is_integer() and 1 <= j <= self.k):  # NaN fails is_integer
             raise DomainError(f"type {j} out of range 1..{self.k}")
-        return j0
+        return int(j) - 1
 
     def type_of(self, v):
         """0-based type index of vertex id(s) v, O(log K) per query."""
@@ -346,7 +345,7 @@ def resolve_initial(population: PopulationSpec, spec) -> tuple:
             return tuple(int(v) for v in pairs)
     out = []
     for count, t in pairs:
-        vs = population.vertices_of_type(int(t) - 1)
+        vs = population.vertices_of_type(population.type_index(t))
         if count > len(vs):
             raise ConfigError(f"cannot seed {count} vertices of type {t}")
         out.extend(int(v) for v in vs[: int(count)])
@@ -470,7 +469,7 @@ def sample_contact_process(rng: np.random.Generator, config: ModelConfig, type_i
     across all target types, matching the kernel definition.
     """
     kern = config.kernel
-    i0 = _t0(type_i, kern.k)
+    i0 = config.population.type_index(type_i)
     p = config.population.proportions
     lat = kern.latent[i0].sample(rng)
     iota = kern.infectious[i0].sample(rng)
@@ -496,7 +495,7 @@ def eta_cdf(config: ModelConfig, i: int, j: int, t: float) -> float:
     the total expected number; independent of population size.
     """
     kern = config.kernel
-    i0, j0 = _t0(i, kern.k), _t0(j, kern.k)
+    i0, j0 = config.population.type_index(i), config.population.type_index(j)
     m = _mean_entries(config)
     if m[i0, j0] <= 0:
         raise DomainError(f"eta_{i}{j} is undefined: m_{i}{j} = 0")
@@ -514,13 +513,6 @@ def _coverage(lat: Duration, iota: Duration, t: float) -> float:
 
     val, _ = integrate.quad(lambda l: lat.pdf(l) * iota.mean_min(t - l), 0.0, t, limit=200)
     return float(val)
-
-
-def _t0(i, k: int) -> int:
-    i = int(i)
-    if not 1 <= i <= k:
-        raise DomainError(f"type index {i} outside 1..{k}")
-    return i - 1
 
 
 # --------------------------------------------------------------------------
@@ -590,18 +582,29 @@ def _kernel_to_dict(kern: Kernel):
     }
 
 
+def _integer(value, name: str) -> int:
+    if isinstance(value, str) or not float(value).is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def config_from_dict(d: dict) -> ModelConfig:
+    """Build a config from its JSON form; any malformed field raises ConfigError."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(d).__name__}")
     try:
         pop = PopulationSpec(
-            n=int(d["population"]["n"]),
+            n=_integer(d["population"]["n"], "population.n"),
             counts=d["population"]["counts"],
             proportions=d["population"]["proportions"],
         )
         kernel = _kernel_from_dict(d["kernel"])
         initial = resolve_initial(pop, d["initial_infecteds"])
-        seed = int(d.get("seed", 0))
+        seed = _integer(d.get("seed", 0), "seed")
     except KeyError as exc:
         raise ConfigError(f"missing mandatory config field: {exc}") from exc
+    except (TypeError, ValueError) as exc:  # ConfigError and DomainError too
+        raise ConfigError(f"malformed config: {exc}") from exc
     return ModelConfig(population=pop, kernel=kernel, initial_infecteds=initial, seed=seed)
 
 
@@ -620,4 +623,8 @@ def config_to_dict(config: ModelConfig) -> dict:
 
 def load_config(path) -> ModelConfig:
     with open(path) as fh:
-        return config_from_dict(json.load(fh))
+        try:
+            d = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+    return config_from_dict(d)

@@ -65,6 +65,15 @@ def test_nan_horizon_and_bad_root_rejected():
             explore_susceptibility(g, bad, 1.0)
         with pytest.raises(DomainError, match=f"0..{g.n - 1}"):
             restricted_susceptibility_size(g, bad, 1, 1)
+    snap = explore_susceptibility(g, FIG1_LABELS["f"], 2.0)
+    for t, a in ((math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(DomainError, match="t and a"):
+            susceptibility_counts(snap, t, a, 1)
+    for bad in (1.7, 2.9, math.nan):
+        with pytest.raises(DomainError, match="1..2"):
+            susceptibility_counts(snap, 1.0, 1.0, bad)
+        with pytest.raises(DomainError, match="1..2"):
+            restricted_susceptibility_size(g, FIG1_LABELS["f"], bad, 2)
 
 
 # --------------------------------------------------------------------------

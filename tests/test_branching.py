@@ -138,7 +138,8 @@ def test_run_bad_arguments():
         estimate_W(cfg, 1, horizon=1.0, alpha=1.0, R=1, cap=0)
 
 
-@pytest.mark.parametrize("bad", [dict(root_type=0), dict(root_type=3), dict(R=0),
+@pytest.mark.parametrize("bad", [dict(root_type=0), dict(root_type=3), dict(root_type=1.7),
+                                 dict(root_type=2.9), dict(root_type=math.nan), dict(R=0),
                                  dict(horizon=-1.0), dict(horizon=0.0),
                                  dict(horizon=math.nan), dict(cap=0)], ids=repr)
 @pytest.mark.parametrize("entry", ["estimate_W", "extinction_frequency",

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import infector
+import infector.cli
 from infector import forward
 from infector.analytic import analytic_report
 from infector.cli import main
@@ -65,12 +66,54 @@ def test_missing_config_file(tmp_path):
     assert rc == 2
 
 
-def test_malformed_config(tmp_path):
+def _edited(keys, value):
+    """JSON text of a valid two-type config with one field replaced."""
+    d = config_to_dict(marked_config(2000, 0.4, 3.0, 2.0))
+    node = d
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return json.dumps(d)
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param('{"population": {"n": 10}}', id="missing-fields"),
+    pytest.param('{"population": ', id="invalid-json"),
+    pytest.param("[1, 2]", id="top-level-list"),
+    pytest.param(_edited(("kernel", "infectious", 0, "rate"), "x"), id="rate-x"),
+    pytest.param(_edited(("seed",), "abc"), id="seed-abc"),
+    pytest.param(_edited(("initial_infecteds",), {"per_type": [[1, 3]]}), id="per-type-3"),
+    pytest.param(_edited(("population", "n"), 2000.7), id="n-2000.7"),
+])
+def test_malformed_config(tmp_path, capsys, text):
     path = tmp_path / "bad.json"
-    path.write_text('{"population": {"n": 10}}')
+    path.write_text(text)
     rc = main(["simulate", "--config", str(path), "--replicates", "1",
                "--output-dir", str(tmp_path / "o")])
     assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["config-is-dir", "output-dir-is-file",
+                                  "grid-a", "grid-comma"])
+def test_bad_paths_and_grids_are_usage_errors(tmp_path, capsys, case):
+    cfg = _write_config(tmp_path, single_type_config(n=50))
+    (tmp_path / "file").write_text("")
+    argv = {
+        "config-is-dir": ["simulate", "--config", str(tmp_path), "--replicates", "1",
+                          "--output-dir", str(tmp_path / "o")],
+        "output-dir-is-file": ["simulate", "--config", cfg, "--replicates", "1",
+                               "--output-dir", str(tmp_path / "file")],
+        "grid-a": ["sweep", "--p1-grid", "a", "--m1-grid", "2", "--m2-grid", "2",
+                   "--output-dir", str(tmp_path / "o")],
+        "grid-comma": ["sweep", "--p1-grid", ",", "--m1-grid", "2", "--m2-grid", "2",
+                       "--output-dir", str(tmp_path / "o")],
+    }[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_unknown_subcommand():
@@ -114,6 +157,31 @@ def test_overwrite_refused_without_force(tmp_path):
     assert main(args) == 0
     assert main(args) == 2
     assert main(args + ["--force"]) == 0
+
+
+def test_existing_output_refused_before_any_work(tmp_path):
+    cfg = _write_config(tmp_path, single_type_config(n=300, rate=2.0, seed=7))
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "summary.csv").write_text("kept\n")
+    assert main(["simulate", "--config", cfg, "--replicates", "3",
+                 "--output-dir", str(out)]) == 2
+    assert not (out / "replicates.csv").exists()
+    assert (out / "summary.csv").read_text() == "kept\n"
+
+
+def test_bp_estimate_refuses_before_monte_carlo(tmp_path, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("estimate_rho_bp ran although the output exists")
+
+    monkeypatch.setattr(infector.cli, "estimate_rho_bp", never)
+    cfg = _write_config(tmp_path, symmetric_marked_config(n=400, seed=21))
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "bp_summary.csv").write_text("kept\n")
+    assert main(["bp-estimate", "--config", cfg, "--type", "1", "--replicates", "20",
+                 "--output-dir", str(out)]) == 2
+    assert not (out / "bp_replicates.csv").exists()
 
 
 # --------------------------------------------------------------------------
