@@ -9,10 +9,13 @@ times the population converges to the martingale limit W.
 
 One simulator, ``_simulate_batch``, grows many independent runs a
 generation at a time up to a horizon T and returns each run's size,
-last birth time and cap flag.  W is estimated as e^(-alpha T) * size(T),
-and as 0 when the run had no birth in [T/2, T]: that no-growth rule is
-the extinction surrogate shared by ``estimate_W``, ``estimate_rho_bp``
-and ``extinction_frequency``.
+last birth time and cap flag.  A generation is a short list of blocks,
+one per child type, holding an int32 run id and a float64 birth time per
+particle: 12 bytes per live particle, plus the draw temporaries of one
+child type (about 24 bytes per child) while it is drawn.  W is estimated
+as e^(-alpha T) * size(T), and as 0 when the run had no birth in
+[T/2, T]: that no-growth rule is the extinction surrogate shared by
+``estimate_W``, ``estimate_rho_bp`` and ``extinction_frequency``.
 """
 
 from __future__ import annotations
@@ -120,61 +123,71 @@ def _child_ages(rng, kern, child_type0: int, size: int) -> np.ndarray:
     """Ages from the normalized mean contact measure of the child's type.
 
     Latent period plus a uniform position in a length-biased infectious
-    period; exact for constants, exponentials and gammas.
+    period; exact for constants, exponentials and gammas.  In place: at
+    most three arrays of ``size`` floats are live at once.
     """
-    lat = kern.latent[child_type0].sample(rng, size=size)
-    iota = kern.infectious[child_type0].sample_size_biased(rng, size=size)
-    return lat + iota * rng.random(size)
+    latent = kern.latent[child_type0]
+    lat = latent.value if latent.kind == "constant" else latent.sample(rng, size=size)
+    age = kern.infectious[child_type0].sample_size_biased(rng, size=size)
+    age *= rng.random(size)
+    age += lat
+    return age
 
 
 def _simulate_batch(config: ModelConfig, root_types0: np.ndarray, horizon: float,
-                    cap: int, rng: np.random.Generator):
+                    cap: int, rng: np.random.Generator, stop_on_cap: bool = False):
     """Simulate independent backward runs generation by generation.
 
     Returns (sizes, last_birth, capped) per run.  Capped runs stop
     growing once their size exceeds the cap; their counts are lower
-    bounds and must not be used for W estimates.
+    bounds and must not be used for W estimates.  With ``stop_on_cap``
+    the batch stops at the generation where the first run passes the cap.
+    A generation is a list of (type, run ids, birth times) blocks: one
+    per stretch of equal root types, then one per child type.
     """
     kern = config.kernel
-    k = config.k
     mb = backward_mean_matrix(config)
-    n_runs = len(root_types0)
+    types0 = np.asarray(root_types0, dtype=np.int64)
+    n_runs = len(types0)
     sizes = np.ones(n_runs, dtype=np.int64)
     last_birth = np.zeros(n_runs)
     capped = np.zeros(n_runs, dtype=bool)
 
-    run = np.arange(n_runs, dtype=np.int64)
-    times = np.zeros(n_runs)
-    types0 = np.asarray(root_types0, dtype=np.int64)
-
-    while len(run) > 0:
-        next_run, next_times, next_types = [], [], []
-        for i0 in range(k):
-            lam = mb[types0, i0]
-            counts = rng.poisson(lam)
-            total = int(counts.sum())
+    bounds = np.flatnonzero(np.diff(types0)) + 1
+    gen = [(int(types0[a]), np.arange(a, b, dtype=np.int32), np.zeros(b - a))
+           for a, b in zip(np.r_[0, bounds], np.r_[bounds, n_runs]) if b > a]
+    while gen:
+        nxt = []
+        for i0 in range(config.k):
+            counts = [rng.poisson(mb[t, i0], size=len(run)) for t, run, _ in gen]
+            total = int(sum(c.sum() for c in counts))
             if total == 0:
                 continue
-            child_run = np.repeat(run, counts)
-            birth = np.repeat(times, counts) + _child_ages(rng, kern, i0, total)
+            birth = _child_ages(rng, kern, i0, total)
+            child_run = np.empty(total, dtype=np.int32)
+            at = 0
+            for (_, run, times), c in zip(gen, counts):
+                n = int(c.sum())
+                birth[at:at + n] += np.repeat(times, c)
+                child_run[at:at + n] = np.repeat(run, c)
+                at += n
             keep = birth <= horizon
             if not keep.any():
                 continue
-            next_run.append(child_run[keep])
-            next_times.append(birth[keep])
-            next_types.append(np.full(int(keep.sum()), i0, dtype=np.int64))
-        if not next_run:
-            break
-        run = np.concatenate(next_run)
-        times = np.concatenate(next_times)
-        types0 = np.concatenate(next_types)
-        np.add.at(sizes, run, 1)
-        np.maximum.at(last_birth, run, times)
+            birth, child_run = birth[keep], child_run[keep]
+            del counts, keep
+            sizes += np.bincount(child_run, minlength=n_runs)
+            np.maximum.at(last_birth, child_run, birth)
+            nxt.append((i0, child_run, birth))
         over = sizes > cap
         if over.any():
             capped |= over
-            alive = ~capped[run]
-            run, times, types0 = run[alive], times[alive], types0[alive]
+            if stop_on_cap:
+                break
+            for b, (t, run, times) in enumerate(nxt):
+                alive = ~capped[run]
+                nxt[b] = (t, run[alive], times[alive])
+        gen = nxt
     return sizes, last_birth, capped
 
 
@@ -200,13 +213,15 @@ def _w_values(config: ModelConfig, root_types0: np.ndarray, horizon: float,
               alpha: float, cap: int, rng: np.random.Generator) -> np.ndarray:
     """W = e^(-alpha T) * size(T) per root, 0 under the extinction surrogate.
 
-    Roots run in batches of ``_BATCH`` to bound memory; a capped run
-    raises, since its size is only a lower bound.
+    Roots run in batches of ``_BATCH`` to bound memory.  A batch stops at
+    the generation where its first run passes the cap, which then
+    raises, since that run's size is only a lower bound.
     """
     w = np.empty(len(root_types0))
     for start in range(0, len(root_types0), _BATCH):
         idx = slice(start, start + _BATCH)
-        sizes, last_birth, capped = _simulate_batch(config, root_types0[idx], horizon, cap, rng)
+        sizes, last_birth, capped = _simulate_batch(config, root_types0[idx], horizon, cap,
+                                                    rng, stop_on_cap=True)
         if capped.any():
             raise CapExceededError(
                 "branching population cap hit while estimating W; raise cap"

@@ -337,18 +337,19 @@ def resolve_initial(population: PopulationSpec, spec) -> tuple:
     """
     if isinstance(spec, dict):
         if "vertices" in spec:
-            return tuple(int(v) for v in spec["vertices"])
+            return tuple(_integer(v, "initial_infecteds.vertices") for v in spec["vertices"])
         pairs = spec["per_type"]
     else:
         pairs = spec
         if pairs and not isinstance(pairs[0], (list, tuple)):
-            return tuple(int(v) for v in pairs)
+            return tuple(_integer(v, "initial_infecteds") for v in pairs)
     out = []
     for count, t in pairs:
+        count = _integer(count, "initial_infecteds.per_type count")
         vs = population.vertices_of_type(population.type_index(t))
-        if count > len(vs):
+        if not 0 <= count <= len(vs):
             raise ConfigError(f"cannot seed {count} vertices of type {t}")
-        out.extend(int(v) for v in vs[: int(count)])
+        out.extend(int(v) for v in vs[:count])
     return tuple(out)
 
 
@@ -595,7 +596,7 @@ def config_from_dict(d: dict) -> ModelConfig:
     try:
         pop = PopulationSpec(
             n=_integer(d["population"]["n"], "population.n"),
-            counts=d["population"]["counts"],
+            counts=[_integer(c, "population.counts") for c in d["population"]["counts"]],
             proportions=d["population"]["proportions"],
         )
         kernel = _kernel_from_dict(d["kernel"])

@@ -5,7 +5,9 @@ package computes with ``scipy.sparse.csgraph``: forward shortest paths
 with the smaller-id predecessor tie-break, backward susceptibility
 snapshots, and restricted susceptibility set sizes.  A per-particle
 loop with a full event log does, one run at a time, what the batched
-branching-process simulator does by generation.
+branching-process simulator does by generation; ``simulate_batch`` is
+the earlier per-particle-array form of that simulator, whose draw order
+the block form must keep.
 """
 
 import heapq
@@ -16,7 +18,7 @@ import numpy as np
 
 from infector import rng as rngmod
 from infector.backward import RestrictedSetSize, SusceptibilitySnapshot
-from infector.branching import _child_ages, backward_mean_matrix
+from infector.branching import backward_mean_matrix
 from infector.config import ModelConfig
 from infector.errors import DomainError
 from infector.graph import EpidemicGraph
@@ -128,6 +130,68 @@ def restricted_susceptibility_size(graph: EpidemicGraph, v_star: int, i: int, j:
                 seen.add(u)
                 stack.append(u)
     return RestrictedSetSize(y=len(seen))
+
+
+def _child_ages(rng, kern, child_type0: int, size: int) -> np.ndarray:
+    """Ages from the normalized mean contact measure of the child's type.
+
+    Latent period plus a uniform position in a length-biased infectious
+    period; exact for constants, exponentials and gammas.
+    """
+    lat = kern.latent[child_type0].sample(rng, size=size)
+    iota = kern.infectious[child_type0].sample_size_biased(rng, size=size)
+    return lat + iota * rng.random(size)
+
+
+def simulate_batch(config: ModelConfig, root_types0: np.ndarray, horizon: float,
+                   cap: int, rng: np.random.Generator):
+    """Simulate independent backward runs generation by generation.
+
+    Returns (sizes, last_birth, capped) per run.  Capped runs stop
+    growing once their size exceeds the cap; their counts are lower
+    bounds and must not be used for W estimates.
+    """
+    kern = config.kernel
+    k = config.k
+    mb = backward_mean_matrix(config)
+    n_runs = len(root_types0)
+    sizes = np.ones(n_runs, dtype=np.int64)
+    last_birth = np.zeros(n_runs)
+    capped = np.zeros(n_runs, dtype=bool)
+
+    run = np.arange(n_runs, dtype=np.int64)
+    times = np.zeros(n_runs)
+    types0 = np.asarray(root_types0, dtype=np.int64)
+
+    while len(run) > 0:
+        next_run, next_times, next_types = [], [], []
+        for i0 in range(k):
+            lam = mb[types0, i0]
+            counts = rng.poisson(lam)
+            total = int(counts.sum())
+            if total == 0:
+                continue
+            child_run = np.repeat(run, counts)
+            birth = np.repeat(times, counts) + _child_ages(rng, kern, i0, total)
+            keep = birth <= horizon
+            if not keep.any():
+                continue
+            next_run.append(child_run[keep])
+            next_times.append(birth[keep])
+            next_types.append(np.full(int(keep.sum()), i0, dtype=np.int64))
+        if not next_run:
+            break
+        run = np.concatenate(next_run)
+        times = np.concatenate(next_times)
+        types0 = np.concatenate(next_types)
+        np.add.at(sizes, run, 1)
+        np.maximum.at(last_birth, run, times)
+        over = sizes > cap
+        if over.any():
+            capped |= over
+            alive = ~capped[run]
+            run, times, types0 = run[alive], times[alive], types0[alive]
+    return sizes, last_birth, capped
 
 
 @dataclass

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from infector.branching import (
@@ -15,17 +18,25 @@ from infector.branching import (
     solve_malthusian,
     survival_probability,
 )
-from infector.config import Duration, mean_matrix
+from infector.config import (
+    Duration,
+    MarkedSingleProcess,
+    MarkovSEIR,
+    ModelConfig,
+    PopulationSpec,
+    mean_matrix,
+)
 from infector.errors import CapExceededError, DomainError
 from infector.rng import stream
 
 from conftest import (
     asymmetric_seir_config,
     marked_config,
+    readme_config,
     single_type_config,
     symmetric_marked_config,
 )
-from oracles import simulate_backward_bp
+from oracles import simulate_backward_bp, simulate_batch
 
 
 # --------------------------------------------------------------------------
@@ -126,6 +137,85 @@ def test_batch_simulator_matches_event_log_oracle():
             a, b = stat(sizes), stat(ref)
             se = math.hypot(a.std(ddof=1), b.std(ddof=1)) / math.sqrt(runs)
             assert abs(a.mean() - b.mean()) < 4 * se
+
+
+_durations = st.one_of(
+    st.floats(0.5, 1.5).map(Duration.constant),
+    st.floats(0.5, 2.0).map(Duration.exponential),
+    st.tuples(st.floats(0.5, 4.0), st.floats(0.5, 2.0)).map(lambda sr: Duration.gamma(*sr)),
+)
+
+
+@st.composite
+def _batch_cases(draw):
+    k = draw(st.integers(1, 3))
+    weights = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=k, max_size=k)))
+    pop = PopulationSpec(n=10 * k, counts=[10] * k, proportions=weights / weights.sum())
+    latent = draw(st.lists(st.one_of(st.just(Duration.constant(0.0)), _durations),
+                           min_size=k, max_size=k))
+    infectious = draw(st.lists(_durations, min_size=k, max_size=k))
+    rates = st.floats(0.5, 3.0)
+    if draw(st.booleans()):
+        kern = MarkovSEIR(latent, infectious,
+                          np.array(draw(st.lists(rates, min_size=k * k, max_size=k * k)))
+                          .reshape(k, k))
+    else:
+        kern = MarkedSingleProcess(latent, infectious,
+                                   draw(st.lists(rates, min_size=k, max_size=k)))
+    cfg = ModelConfig(population=pop, kernel=kern, initial_infecteds=(0,))
+    roots = np.array(draw(st.lists(st.integers(0, k - 1), min_size=5, max_size=40)))
+    return (cfg, roots, draw(st.floats(1.0, 6.0)), draw(st.integers(1, 200)),
+            draw(st.integers(0, 2**32)))
+
+
+@given(_batch_cases())
+@settings(max_examples=80, deadline=None)
+def test_batch_simulator_keeps_per_particle_draw_order(case):
+    # the block simulator draws exactly what the per-particle-array form
+    # drew, in the same order, and leaves the stream in the same state
+    cfg, roots, horizon, cap, seed = case
+    ref_rng, rng = stream(seed, "order"), stream(seed, "order")
+    ref = simulate_batch(cfg, roots, horizon, cap, ref_rng)
+    out = _simulate_batch(cfg, roots, horizon, cap, rng)
+    for a, b in zip(ref, out):
+        assert np.array_equal(a, b)
+    assert repr(ref_rng.bit_generator.state) == repr(rng.bit_generator.state)
+
+
+def test_batch_simulator_peak_memory():
+    # 12 bytes per live particle plus one child type's draw temporaries;
+    # the per-particle-array form peaked at about 17 MB on this call
+    cfg = readme_config(100)
+    roots = np.arange(1000) % 2
+    tracemalloc.start()
+    try:
+        _simulate_batch(cfg, roots, 8.0, 1_000_000, stream(2, "memory"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6
+
+
+def test_batch_stops_at_generation_of_first_cap():
+    # a constant latent period of 1 and a near-zero infectious period put
+    # generation g at birth time g, so a horizon of g* + 1/2 lets the
+    # batch grow exactly through generation g*
+    cfg = single_type_config(latent=Duration.constant(1.0),
+                             infectious=Duration.constant(1e-6), rate=2e6)
+    roots = np.zeros(30, dtype=np.int64)
+    sizes, last_birth, capped = _simulate_batch(cfg, roots, 40.0, 50, stream(3, "stop"),
+                                                stop_on_cap=True)
+    assert capped.any() and not capped.all()
+    assert (sizes[capped] > 50).all() and (sizes[~capped] <= 50).all()
+    gen = np.round(last_birth)
+    g_star = gen[capped].max()
+    assert (gen[capped] == g_star).all() and (gen <= g_star).all()
+    ref = _simulate_batch(cfg, roots, g_star + 0.5, 50, stream(3, "stop"))
+    for a, b in zip(ref, (sizes, last_birth, capped)):
+        assert np.array_equal(a, b)
+    # without stopping, the uncapped runs grow on
+    grown, _, _ = _simulate_batch(cfg, roots, 40.0, 50, stream(3, "stop"))
+    assert (grown >= sizes).all() and (grown > sizes).any()
 
 
 def test_run_bad_arguments():

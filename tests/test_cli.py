@@ -95,6 +95,22 @@ def test_malformed_config(tmp_path, capsys, text):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("keys, value, field", [
+    (("population", "counts"), [800.5, 1199.5], "population.counts"),
+    (("initial_infecteds",), {"vertices": [0.9]}, "initial_infecteds.vertices"),
+    (("initial_infecteds",), {"per_type": [[1.5, 1]]}, "initial_infecteds.per_type"),
+], ids=["counts", "vertices", "per-type"])
+def test_non_integer_config_field_named(tmp_path, capsys, keys, value, field):
+    # once silently truncated: counts [800, 1199] then failed on their sum
+    path = tmp_path / "bad.json"
+    path.write_text(_edited(keys, value))
+    rc = main(["simulate", "--config", str(path), "--replicates", "1",
+               "--output-dir", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and field in err
+
+
 @pytest.mark.parametrize("case", ["config-is-dir", "output-dir-is-file",
                                   "grid-a", "grid-comma"])
 def test_bad_paths_and_grids_are_usage_errors(tmp_path, capsys, case):

@@ -166,6 +166,29 @@ def test_resolve_initial_per_type():
     assert resolve_initial(pop, {"vertices": [3, 7]}) == (3, 7)
     with pytest.raises(ConfigError):
         resolve_initial(pop, {"per_type": [[5, 1]]})
+    with pytest.raises(ConfigError):
+        resolve_initial(pop, {"per_type": [[-1, 1]]})
+
+
+@pytest.mark.parametrize("spec, field", [
+    ({"vertices": [0.9]}, "initial_infecteds.vertices"),
+    ({"vertices": ["1"]}, "initial_infecteds.vertices"),
+    ([2.5], "initial_infecteds"),
+    ({"per_type": [[1.5, 1]]}, "initial_infecteds.per_type count"),
+])
+def test_resolve_initial_rejects_non_integers(spec, field):
+    pop = PopulationSpec(n=10, counts=[4, 6], proportions=[0.4, 0.6])
+    with pytest.raises(ConfigError, match=field):
+        resolve_initial(pop, spec)
+
+
+def test_non_integer_population_counts_rejected():
+    d = config_to_dict(single_type_config(n=100))
+    d["population"]["counts"] = [99.5]
+    with pytest.raises(ConfigError, match="population.counts"):
+        config_from_dict(d)
+    d["population"]["counts"] = [100.0]
+    assert config_from_dict(d).population.counts.tolist() == [100]
 
 
 # --------------------------------------------------------------------------
