@@ -96,15 +96,18 @@ def r0(entries, require_irreducible: bool = True) -> float:
     shifted = m + np.eye(k)
     v = np.ones(k) / np.sqrt(k)
     lam = 0.0
-    for _ in range(100_000):
-        w = shifted @ v
-        lam_new = float(np.linalg.norm(w))
-        v = w / lam_new
-        if abs(lam_new - lam) <= 1e-14 * max(lam_new, 1.0):
-            # one Rayleigh-quotient polish
-            lam_new = float(v @ (shifted @ v))
-            return lam_new - 1.0
-        lam = lam_new
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        for _ in range(100_000):
+            w = shifted @ v
+            lam_new = float(np.linalg.norm(w))
+            if not np.isfinite(lam_new):
+                raise NumericError("power iteration overflowed: mean matrix entries too large")
+            v = w / lam_new
+            if abs(lam_new - lam) <= 1e-14 * max(lam_new, 1.0):
+                # one Rayleigh-quotient polish
+                lam_new = float(v @ (shifted @ v))
+                return lam_new - 1.0
+            lam = lam_new
     raise NumericError("power iteration did not converge")
 
 

@@ -11,11 +11,13 @@ One simulator, ``_simulate_batch``, grows many independent runs a
 generation at a time up to a horizon T and returns each run's size,
 last birth time and cap flag.  A generation is a short list of blocks,
 one per child type, holding an int32 run id and a float64 birth time per
-particle: 12 bytes per live particle, plus the draw temporaries of one
-child type (about 24 bytes per child) while it is drawn.  W is estimated
-as e^(-alpha T) * size(T), and as 0 when the run had no birth in
-[T/2, T]: that no-growth rule is the extinction surrogate shared by
-``estimate_W``, ``estimate_rho_bp`` and ``extinction_frequency``.
+particle: 12 bytes per live particle, plus, while a child type is drawn,
+4 bytes per parent of counts, 8 bytes per child of age draws (16 with a
+random latent period) and the temporaries of one slice of ``_SLICE``
+parents.  W is estimated as e^(-alpha T) * size(T), and as 0 when the
+run had no birth in [T/2, T]: that no-growth rule is the extinction
+surrogate shared by ``estimate_W``, ``estimate_rho_bp`` and
+``extinction_frequency``.
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ class MalthusianSolution:
 
 # Roots per _simulate_batch call when estimating W; bounds peak memory.
 _BATCH = 4_000
+# Parents per slice of _simulate_batch's expand-filter step; bounds its temporaries.
+_SLICE = 1 << 14
 
 
 # --------------------------------------------------------------------------
@@ -119,19 +123,16 @@ def solve_malthusian(config: ModelConfig) -> MalthusianSolution:
 # simulation
 # --------------------------------------------------------------------------
 
-def _child_ages(rng, kern, child_type0: int, size: int) -> np.ndarray:
-    """Ages from the normalized mean contact measure of the child's type.
+def _age_draws(rng, kern, child_type0: int, size: int):
+    """(biased, lat): size-biased infectious and latent periods of ``size`` children.
 
-    Latent period plus a uniform position in a length-biased infectious
-    period; exact for constants, exponentials and gammas.  In place: at
-    most three arrays of ``size`` floats are live at once.
+    An age from the normalized mean contact measure is lat + u * biased,
+    u uniform and drawn after both; exact for constants, exponentials and
+    gammas.  ``lat`` is a scalar for a constant latent period.
     """
     latent = kern.latent[child_type0]
     lat = latent.value if latent.kind == "constant" else latent.sample(rng, size=size)
-    age = kern.infectious[child_type0].sample_size_biased(rng, size=size)
-    age *= rng.random(size)
-    age += lat
-    return age
+    return kern.infectious[child_type0].sample_size_biased(rng, size=size), lat
 
 
 def _simulate_batch(config: ModelConfig, root_types0: np.ndarray, horizon: float,
@@ -147,6 +148,8 @@ def _simulate_batch(config: ModelConfig, root_types0: np.ndarray, horizon: float
     """
     kern = config.kernel
     mb = backward_mean_matrix(config)
+    if mb.max() > 2**30:  # Poisson counts then stay far below 2**31: int32 holds them
+        raise NumericError(f"backward offspring mean {mb.max():.3g} exceeds 2**30")
     types0 = np.asarray(root_types0, dtype=np.int64)
     n_runs = len(types0)
     sizes = np.ones(n_runs, dtype=np.int64)
@@ -159,23 +162,29 @@ def _simulate_batch(config: ModelConfig, root_types0: np.ndarray, horizon: float
     while gen:
         nxt = []
         for i0 in range(config.k):
-            counts = [rng.poisson(mb[t, i0], size=len(run)) for t, run, _ in gen]
-            total = int(sum(c.sum() for c in counts))
+            counts = [rng.poisson(mb[t, i0], size=len(run)).astype(np.int32) for t, run, _ in gen]
+            total = sum(int(c.sum()) for c in counts)
             if total == 0:
                 continue
-            birth = _child_ages(rng, kern, i0, total)
-            child_run = np.empty(total, dtype=np.int32)
-            at = 0
+            biased, lat = _age_draws(rng, kern, i0, total)
+            runs, births, at = [], [], 0
             for (_, run, times), c in zip(gen, counts):
-                n = int(c.sum())
-                birth[at:at + n] += np.repeat(times, c)
-                child_run[at:at + n] = np.repeat(run, c)
-                at += n
-            keep = birth <= horizon
-            if not keep.any():
+                for p in range(0, len(c), _SLICE):
+                    cs = c[p:p + _SLICE]
+                    n = int(cs.sum())
+                    birth = biased[at:at + n]
+                    birth *= rng.random(n)  # uniform draws may come in slices: no buffered state
+                    birth += lat if np.ndim(lat) == 0 else lat[at:at + n]
+                    birth += np.repeat(times[p:p + _SLICE], cs)
+                    keep = birth <= horizon
+                    births.append(birth[keep])
+                    runs.append(np.repeat(run[p:p + _SLICE], cs)[keep])
+                    at += n
+            del counts, c, cs, biased, lat, birth, keep  # free the draws before the join
+            birth, child_run = np.concatenate(births), np.concatenate(runs)
+            del births, runs
+            if not len(birth):
                 continue
-            birth, child_run = birth[keep], child_run[keep]
-            del counts, keep
             sizes += np.bincount(child_run, minlength=n_runs)
             np.maximum.at(last_birth, child_run, birth)
             nxt.append((i0, child_run, birth))
@@ -197,8 +206,8 @@ def _check_bp_args(config: ModelConfig, root_type: int, R: int, horizon: float,
     j0 = config.population.type_index(root_type)
     if R < 1:
         raise DomainError("need at least one replicate")
-    if not horizon > 0:
-        raise DomainError("horizon must be positive")
+    if not 0 < horizon < np.inf:
+        raise DomainError(f"horizon must be finite and positive, got {horizon}")
     if cap < 1:
         raise DomainError("cap must be >= 1")
     return j0
@@ -243,8 +252,8 @@ def estimate_W(config: ModelConfig, root_type: int, horizon: float, alpha: float
     ``CapExceededError`` if any run exceeds ``cap`` particles.
     """
     j0 = _check_bp_args(config, root_type, R, horizon, cap)
-    if not alpha > 0:
-        raise DomainError("alpha must be positive")
+    if not 0 < alpha < np.inf:
+        raise DomainError(f"alpha must be finite and positive, got {alpha}")
     if rng is None:
         rng = rngmod.stream(config.seed, "bp")
     return _w_values(config, np.full(R, j0, dtype=np.int64), horizon, alpha, cap, rng)
@@ -322,7 +331,8 @@ def estimate_rho_bp(config: ModelConfig, j: int, R: int, horizon: Optional[float
         n_sel = int(sel.sum())
         if n_sel == 0:
             continue
-        tau[sel] = _child_ages(rng, kern, i0, n_sel)
+        biased, lat = _age_draws(rng, kern, i0, n_sel)
+        tau[sel] = biased * rng.random(n_sel) + lat
 
     w = _w_values(config, type_of, horizon, alpha, cap, rng)
     disc = np.exp(-alpha * tau) * w

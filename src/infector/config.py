@@ -389,6 +389,11 @@ class Violation:
         return f"[{self.assumption}] {self.message}"
 
 
+# Largest expected contact count a scenario may have: far below where R0's
+# power iteration overflows and numpy's Poisson sampler gives up.
+_MAX_MEAN_CONTACTS = 2.0**30
+
+
 def validate_config(config: ModelConfig) -> list:
     """Check a configuration against the model assumptions.
 
@@ -421,9 +426,13 @@ def validate_config(config: ModelConfig) -> list:
         if not np.isfinite(rates).all() or (rates < 0).any():
             report.append(Violation("finite-means", "contact rates must be finite and >= 0"))
         else:
-            m = _mean_entries(config)
+            with np.errstate(over="ignore"):  # an overflow is reported as not finite
+                m = _mean_entries(config)
             if not np.isfinite(m).all():
                 report.append(Violation("finite-means", "some expected contact count is not finite"))
+            elif m.max() > _MAX_MEAN_CONTACTS:
+                report.append(Violation("finite-means", f"some expected contact count exceeds "
+                                        f"2**30: {m.max():.3g}"))
             elif not MeanMatrix(m).is_irreducible():
                 report.append(
                     Violation("irreducibility", "positivity pattern of the mean matrix is reducible")

@@ -20,7 +20,7 @@ from infector.analytic import (
     theorem2_bounds,
     tv_binomial_poisson,
 )
-from infector.errors import DomainError
+from infector.errors import DomainError, NumericError
 
 
 def brentq_q(r0_value: float) -> float:
@@ -63,6 +63,13 @@ def test_r0_eig_oracle_random():
 def test_r0_reducible_rejected():
     with pytest.raises(DomainError):
         r0(np.array([[2.0, 0.0], [0.0, 0.5]]))
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e308])
+def test_r0_overflow_raises(scale):
+    # the power iteration once overflowed silently and returned R0 = -1
+    with pytest.raises(NumericError):
+        r0(np.array([[3.0, 1.5], [1.0, 2.5]]) / 3.0 * scale)
 
 
 def test_r0_matches_backward_matrix():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+import infector.branching
 from infector.branching import (
     _simulate_batch,
     backward_mean_matrix,
@@ -26,7 +27,7 @@ from infector.config import (
     PopulationSpec,
     mean_matrix,
 )
-from infector.errors import CapExceededError, DomainError
+from infector.errors import CapExceededError, DomainError, NumericError
 from infector.rng import stream
 
 from conftest import (
@@ -196,6 +197,59 @@ def test_batch_simulator_peak_memory():
     assert peak <= 10e6
 
 
+def test_batch_simulator_peak_memory_sliced():
+    # the same call with the uniform factor of each age and the
+    # expand-filter step run over slices of _SLICE parents
+    cfg = readme_config(100)
+    roots = np.arange(1000) % 2
+    tracemalloc.start()
+    try:
+        _simulate_batch(cfg, roots, 8.0, 1_000_000, stream(2, "memory"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.5e6
+
+
+@pytest.mark.parametrize("slice_len", [1, 3, 7])
+@pytest.mark.parametrize("case", ["readme", "asymmetric", "gamma-latent", "capped"])
+def test_batch_simulator_slices_keep_draw_order(monkeypatch, slice_len, case):
+    # slices shorter than a block: the per-slice uniform draws and kept
+    # pieces must add up to the single draw of the per-particle-array form
+    monkeypatch.setattr(infector.branching, "_SLICE", slice_len)
+    roots = np.array([0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1])
+    cfg, horizon, cap = {
+        "readme": (readme_config(100), 4.0, 1_000),
+        "asymmetric": (asymmetric_seir_config(n=100), 4.0, 1_000),
+        "gamma-latent": (marked_config(100, 0.4, 3.0, 2.0), 4.0, 1_000),
+        "capped": (readme_config(100), 6.0, 40),
+    }[case]
+    if case == "gamma-latent":
+        kern = cfg.kernel
+        cfg = ModelConfig(population=cfg.population,
+                          kernel=MarkedSingleProcess([Duration.gamma(2.0, 3.0)] * 2,
+                                                     kern.infectious, kern.total_rates),
+                          initial_infecteds=(0,))
+    ref_rng, rng = stream(17, "slices", slice_len), stream(17, "slices", slice_len)
+    ref = simulate_batch(cfg, roots, horizon, cap, ref_rng)
+    out = _simulate_batch(cfg, roots, horizon, cap, rng)
+    assert out[0].sum() > 100  # blocks span many slices
+    assert out[2].any() == (case == "capped")
+    for a, b in zip(ref, out):
+        assert np.array_equal(a, b)
+    assert repr(ref_rng.bit_generator.state) == repr(rng.bit_generator.state)
+
+
+def test_batch_simulator_rejects_offspring_means_past_int32():
+    # int32 Poisson counts: a mean past 2**30 is refused before any draw
+    cfg = single_type_config(n=10, rate=2.0**31)
+    rng = stream(5, "int32")
+    state = repr(rng.bit_generator.state)
+    with pytest.raises(NumericError):
+        _simulate_batch(cfg, np.zeros(3, dtype=np.int64), 1.0, 10, rng)
+    assert repr(rng.bit_generator.state) == state
+
+
 def test_batch_stops_at_generation_of_first_cap():
     # a constant latent period of 1 and a near-zero infectious period put
     # generation g at birth time g, so a horizon of g* + 1/2 lets the
@@ -277,6 +331,29 @@ def test_estimate_W_bad_alpha():
     for alpha in (0.0, -1.0, math.nan):
         with pytest.raises(DomainError):
             estimate_W(cfg, 1, horizon=1.0, alpha=alpha, R=1, rng=stream(1, "a"))
+
+
+@pytest.mark.parametrize("horizon", [math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("entry", ["estimate_W", "extinction_frequency",
+                                   "estimate_rho_bp"])
+def test_entry_points_reject_non_finite_horizon(entry, horizon):
+    # an infinite horizon once passed the check and grew every surviving
+    # subtree to the cap
+    cfg = marked_config(100, 0.4, 3.0, 2.0, seed=5)
+    with pytest.raises(DomainError, match="finite"):
+        if entry == "estimate_W":
+            estimate_W(cfg, 1, horizon, 1.0, 10, cap=1000)
+        elif entry == "extinction_frequency":
+            extinction_frequency(cfg, 1, 10, horizon, cap=1000)
+        else:
+            estimate_rho_bp(cfg, 1, 10, horizon=horizon, cap=1000)
+
+
+def test_estimate_W_rejects_infinite_alpha():
+    # alpha = inf once gave W = e^(-inf T) * size = 0 for every run
+    cfg = single_type_config(n=10)
+    with pytest.raises(DomainError, match="finite"):
+        estimate_W(cfg, 1, horizon=1.0, alpha=math.inf, R=1, rng=stream(1, "a"))
 
 
 def test_martingale_mean_stable_in_horizon():

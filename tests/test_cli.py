@@ -424,6 +424,37 @@ def test_bp_estimate_bad_arguments_are_usage_errors(tmp_path, capsys, bad):
     assert not (tmp_path / "o" / "bp_summary.csv").exists()
 
 
+def test_bp_estimate_infinite_horizon_is_usage_error(tmp_path, capsys):
+    # once accepted: every surviving subtree grew to the cap, then exit 3
+    cfg = _write_config(tmp_path, symmetric_marked_config(n=400, seed=21))
+    rc = main(["bp-estimate", "--config", cfg, "--type", "1", "--replicates", "20",
+               "--output-dir", str(tmp_path / "o"), "--horizon", "inf"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and "finite" in err
+    assert list((tmp_path / "o").iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--replicates", "2"],
+    ["backward", "--roots-per-type", "1"],
+    ["bp-estimate", "--type", "1", "--replicates", "10"],
+    ["verify", "--replicates", "2"],
+], ids=lambda argv: argv[0])
+def test_huge_contact_rates_are_usage_errors(tmp_path, capsys, argv):
+    # finite rates of 1e308 once gave a Poisson traceback (exit 1) or,
+    # through an overflowed power iteration, "R0 = -1"
+    scenario = readme_scenario(2000)
+    scenario["kernel"]["contact_rates"][0][0] = 1e308
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(scenario))
+    rc = main(argv + ["--config", str(path), "--output-dir", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and "2**30" in err
+    assert not (tmp_path / "o").exists()
+
+
 # --------------------------------------------------------------------------
 # bounds and sweep
 # --------------------------------------------------------------------------

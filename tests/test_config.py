@@ -155,6 +155,26 @@ def test_validate_seed_budget():
     assert any("initial" in str(v) for v in validate_config(big))
 
 
+@pytest.mark.parametrize("rate", [2.0**31, 1e308])
+def test_validate_rejects_huge_contact_rates(rate):
+    # finite, but over the bound; 1e308 also overflows R0's power iteration
+    report = validate_config(single_type_config(n=100, rate=rate))
+    assert [v.assumption for v in report] == ["finite-means"]
+    assert "2**30" in str(report[0])
+
+
+def test_validate_reports_overflowing_contact_counts():
+    # rate * p * E[infectious] = 1e308 * 2 overflows: reported, not warned
+    cfg = single_type_config(n=100, rate=1e308, infectious=Duration.exponential(0.5))
+    report = validate_config(cfg)
+    assert [v.assumption for v in report] == ["finite-means"]
+    assert "not finite" in str(report[0])
+
+
+def test_validate_accepts_contact_counts_up_to_bound():
+    assert validate_config(single_type_config(n=100, rate=2.0**30)) == []
+
+
 def test_validate_is_pure():
     cfg = single_type_config(n=100)
     assert validate_config(cfg) == validate_config(cfg)
