@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import bdtrc, gammaln, pdtrc, xlog1py, xlogy
 
 from .errors import DomainError, NumericError
 
@@ -217,6 +216,8 @@ def extinction_probs_2type(mb) -> tuple:
 # --------------------------------------------------------------------------
 
 def borel_log_pmf(m: float, ell) -> np.ndarray:
+    from scipy.special import gammaln  # kept out of the CLI's import time
+
     ell = np.asarray(ell, dtype=np.int64)
     if (ell <= 0).any():
         raise DomainError("Borel support starts at 1")
@@ -364,6 +365,8 @@ def tv_binomial_poisson(n_trials: int, p: float, lam: float) -> float:
     The support sum is truncated where both tails are below 1e-15, which
     keeps the truncation error under 1e-14.
     """
+    from scipy.special import bdtrc, gammaln, pdtrc, xlog1py, xlogy
+
     if n_trials < 1:
         raise DomainError("n_trials must be >= 1")
     if not 0 <= p <= 1:

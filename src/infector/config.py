@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import gammainc, gammaln, xlogy
 
 from .errors import ConfigError, DomainError
 
@@ -109,6 +108,8 @@ class Duration:
         return self._gamma_cdf(self.shape, t)
 
     def _gamma_cdf(self, shape, t):
+        from scipy.special import gammainc  # kept out of the CLI's import time
+
         # scipy.stats.gamma's arithmetic: x = t / scale, and 0 below the support
         return gammainc(shape, np.maximum(t / (1.0 / self.rate), 0.0))
 
@@ -118,6 +119,8 @@ class Duration:
         t = np.asarray(t, dtype=float)
         if self.kind == "exponential":
             return np.where(t >= 0, self.rate * np.exp(-self.rate * np.maximum(t, 0.0)), 0.0)
+        from scipy.special import gammaln, xlogy
+
         scale = 1.0 / self.rate
         x = t / scale
         with np.errstate(invalid="ignore"):

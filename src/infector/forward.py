@@ -232,6 +232,8 @@ def replicate_records(config: ModelConfig, R: int, threshold: float = 0.05,
     """Run R independent replicates; returns one record dict per replicate."""
     if R < 1:
         raise DomainError("need at least one replicate")
+    if threads < 1:
+        raise DomainError(f"threads must be >= 1, got {threads}")
     if master_seed is None:
         master_seed = config.seed
     if threads > 1:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -13,11 +14,15 @@ import infector
 import infector.cli
 from infector import forward
 from infector.analytic import analytic_report
+from infector.backward import explore_susceptibility, restricted_susceptibility_size
 from infector.cli import main
 from infector.config import config_to_dict
+from infector.graph import EpidemicGraph, build_graph
+from infector.rng import stream
 
 from conftest import (
     marked_config,
+    readme_config,
     readme_scenario,
     single_type_config,
     symmetric_marked_config,
@@ -49,9 +54,11 @@ def _read_csv(path):
 
 def test_cli_import_skips_scipy_stats_and_integrate():
     # each costs a large share of the CLI's start-up; the package reaches
-    # scipy.integrate only inside eta_cdf, and scipy.stats not at all
-    code = ("import sys, infector.cli; "
-            "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])")
+    # scipy.integrate only inside eta_cdf, scipy.special only inside the
+    # gamma-period and analytic functions that need it, and scipy.stats
+    # not at all
+    code = ("import sys, infector.cli; print([m for m in "
+            "('scipy.stats', 'scipy.integrate', 'scipy.special') if m in sys.modules])")
     src = os.path.dirname(os.path.dirname(os.path.abspath(infector.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -159,11 +166,58 @@ def test_verify_passes(tmp_path, capsys):
     assert out.count("PASS") >= 4
 
 
-def test_verify_verdict_failure(tmp_path):
+def _report_with_bounds(monkeypatch, lo, hi):
+    """Make verify's analytic_report give the sandwich (lo, hi)."""
+    real = infector.cli.analytic_report
+    monkeypatch.setattr(infector.cli, "analytic_report", lambda *a: dataclasses.replace(
+        real(*a), rho1_minus=lo, rho1_plus=hi))
+
+
+def test_verify_verdict_failure(tmp_path, monkeypatch):
+    # the estimate sits above the upper bound (a negative --slack, once used
+    # here to force this, is now a usage error)
+    _report_with_bounds(monkeypatch, -3.0, -2.0)
     cfg = _write_config(tmp_path, symmetric_marked_config(n=800, seed=5))
     rc = main(["verify", "--config", cfg, "--replicates", "20",
-               "--slack=-1", "--output-dir", str(tmp_path / "o")])
+               "--output-dir", str(tmp_path / "o")])
     assert rc == 1
+
+
+def test_verify_sandwich_rows_have_own_bounds(tmp_path, monkeypatch):
+    # an estimate below the lower bound used to fail the upper row too
+    _report_with_bounds(monkeypatch, 2.0, 3.0)
+    cfg = _write_config(tmp_path, symmetric_marked_config(n=800, seed=5))
+    rc = main(["verify", "--config", cfg, "--replicates", "20", "--no-timestamp",
+               "--output-dir", str(tmp_path / "o")])
+    assert rc == 1
+    _, header, rows = _read_csv(tmp_path / "o" / "verify.csv")
+    verdict = {row[0]: row[header.index("verdict")] for row in rows}
+    assert verdict["sandwich-lower"] == "fail"
+    assert verdict["sandwich-upper"] == "pass"
+
+
+@pytest.mark.parametrize("slack", ["nan", "-0.01", "inf"])
+def test_verify_bad_slack_is_usage_error(tmp_path, capsys, slack):
+    cfg = _write_config(tmp_path, symmetric_marked_config(n=800, seed=5))
+    rc = main(["verify", "--config", cfg, "--replicates", "20", f"--slack={slack}",
+               "--output-dir", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and "--slack" in err
+    assert not (tmp_path / "o" / "verify.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_is_usage_error(tmp_path, capsys, command, threads):
+    # once these ran serially and exited 0
+    cfg = _write_config(tmp_path, symmetric_marked_config(n=400, seed=5))
+    rc = main([command, "--config", cfg, "--replicates", "3", "--threads", threads,
+               "--output-dir", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and "threads" in err
+    assert [p.name for p in (tmp_path / "o").iterdir()] == []
 
 
 def test_overwrite_refused_without_force(tmp_path):
@@ -362,6 +416,40 @@ def test_backward_explicit_roots(tmp_path):
           "--output-dir", str(tmp_path / "o")])
     _, _, rows = _read_csv(tmp_path / "o" / "backward.csv")
     assert [r[0] for r in rows] == ["0", "5", "250"]
+
+
+def test_backward_alternating_roots_match_api(tmp_path, monkeypatch):
+    # restricted sizes are taken grouped by root type, one view per type,
+    # and the rows keep the input order
+    n = 20_000
+    config = readme_config(n)
+    roots = [1, n - 1, 2, n - 2]
+    views = []
+    real = EpidemicGraph.reverse_matrix
+
+    def recording(self, restriction=None):
+        mat = real(self, restriction)
+        if restriction is not None:
+            views.append(mat)
+        return mat
+
+    monkeypatch.setattr(EpidemicGraph, "reverse_matrix", recording)
+    rc = main(["backward", "--config", _write_config(tmp_path, config),
+               "--roots", ",".join(map(str, roots)), "--t-star", "3",
+               "--no-timestamp", "--output-dir", str(tmp_path / "o")])
+    assert rc == 0
+    assert len(views) == 4 and len({id(v) for v in views}) == 2
+    _, _, rows = _read_csv(tmp_path / "o" / "backward.csv")
+
+    graph = build_graph(config, stream(config.seed, "graph"))
+    expected = []
+    for v in roots:
+        snap = explore_susceptibility(graph, v, 3.0)
+        j = int(config.population.type_of(v)) + 1
+        y = restricted_susceptibility_size(graph, v, j, j).y
+        expected.append([str(v), str(j), str(len(snap.explored)), str(y),
+                         str(snap.collision_count), "1" if snap.flagged else "0"])
+    assert rows == expected
 
 
 @pytest.mark.parametrize("bad, says", [

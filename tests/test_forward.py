@@ -180,6 +180,12 @@ def test_is_large_outbreak_thresholds():
         is_large_outbreak(res, 0.0)
 
 
+@pytest.mark.parametrize("threads", [0, -2])
+def test_replicate_records_rejects_threads_below_one(threads):
+    with pytest.raises(DomainError, match="threads"):
+        replicate_records(single_type_config(n=50), 3, threads=threads)
+
+
 # --------------------------------------------------------------------------
 # lazy simulation
 # --------------------------------------------------------------------------

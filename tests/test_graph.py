@@ -1,5 +1,7 @@
 import hashlib
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -162,6 +164,32 @@ def test_edge_order_matches_lexsort():
         _, r_tails, r_weights = g.reverse_csr()
         assert np.array_equal(r_tails, tails[rev])
         assert np.array_equal(r_weights, weights[rev])
+
+
+def test_build_peak_memory():
+    # block lists are emptied as they are joined and each unsorted edge
+    # array is freed once sorted; the build used to peak at 5.25x
+    cfg = readme_config(50_000)
+    tracemalloc.start()
+    try:
+        g = build_graph(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * (g.indptr.nbytes + g.heads.nbytes + g.weights.nbytes)
+
+
+def test_transpose_int32_and_one_restricted_view():
+    g = build_graph(readme_config(2000))
+    r_indptr, r_tails, r_weights = g.reverse_csr()
+    assert r_indptr.dtype == r_tails.dtype == np.int32 and r_weights.dtype == np.float64
+    view = g.reverse_matrix((0, 0))
+    assert g.reverse_matrix((0, 0)) is view
+    dead = weakref.ref(view)
+    del view
+    other = g.reverse_matrix((1, 1))
+    assert dead() is None  # the (0, 0) view was freed for the (1, 1) one
+    assert g.reverse_matrix((1, 1)) is other
 
 
 def test_head_draws_pinned():
