@@ -16,6 +16,7 @@ from .analytic import (
     extinction_probs_2type,
     fixed_point_q,
     fixed_point_qtilde,
+    is_irreducible,
     r0,
     rho21_min,
     theorem2_bounds,
@@ -44,7 +45,6 @@ from .config import (
     ExtremalTwoType,
     MarkedSingleProcess,
     MarkovSEIR,
-    MeanMatrix,
     ModelConfig,
     PopulationSpec,
     Violation,

@@ -17,6 +17,7 @@ from .errors import DomainError, NumericError
 __all__ = [
     "FixedPointResult",
     "AnalyticReport",
+    "is_irreducible",
     "r0",
     "fixed_point_q",
     "fixed_point_qtilde",
@@ -32,6 +33,8 @@ __all__ = [
 ]
 
 _RESIDUAL_TOL = 1e-12
+# Step cap of extinction_probs's monotone iteration before its Newton polish.
+_EXTINCTION_MAX_ITER = 100_000
 
 
 @dataclass(frozen=True)
@@ -74,40 +77,33 @@ class AnalyticReport:
 # spectral radius
 # --------------------------------------------------------------------------
 
+def is_irreducible(entries) -> bool:
+    """Irreducibility of a square matrix's positivity pattern, via reachability."""
+    reach = np.asarray(entries) > 0
+    closure = reach.copy()
+    for _ in range(reach.shape[0]):
+        closure = closure | (closure @ reach)
+    return bool(closure.all())
+
+
 def r0(entries, require_irreducible: bool = True) -> float:
-    """Perron root of a nonnegative matrix via power iteration.
+    """Perron root of a nonnegative matrix: its largest real eigenvalue.
 
-    A unit shift makes the iteration matrix primitive so the iteration
-    converges even for periodic positivity patterns.
+    By Perron-Frobenius, a nonnegative matrix has its spectral radius
+    as a real eigenvalue, and every other eigenvalue has modulus and so
+    real part at most that radius; this holds for reducible matrices too.
     """
-    from .config import MeanMatrix  # avoid import cycle at module load
-
-    m = entries.entries if isinstance(entries, MeanMatrix) else np.asarray(entries, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DomainError("mean matrix must be square")
+    m = np.asarray(entries, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise DomainError("mean matrix must be square and nonempty")
     if (m < 0).any() or not np.isfinite(m).all():
         raise DomainError("mean matrix must be nonnegative and finite")
-    if require_irreducible and not MeanMatrix(m).is_irreducible():
+    if require_irreducible and not is_irreducible(m):
         raise DomainError("mean matrix is reducible")
-    k = m.shape[0]
-    if k == 1:
-        return float(m[0, 0])
-    shifted = m + np.eye(k)
-    v = np.ones(k) / np.sqrt(k)
-    lam = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-        for _ in range(100_000):
-            w = shifted @ v
-            lam_new = float(np.linalg.norm(w))
-            if not np.isfinite(lam_new):
-                raise NumericError("power iteration overflowed: mean matrix entries too large")
-            v = w / lam_new
-            if abs(lam_new - lam) <= 1e-14 * max(lam_new, 1.0):
-                # one Rayleigh-quotient polish
-                lam_new = float(v @ (shifted @ v))
-                return lam_new - 1.0
-            lam = lam_new
-    raise NumericError("power iteration did not converge")
+    root = float(np.linalg.eigvals(m).real.max())
+    if not np.isfinite(root):
+        raise NumericError("Perron root is not finite: mean matrix entries too large")
+    return root
 
 
 # --------------------------------------------------------------------------
@@ -170,7 +166,7 @@ def fixed_point_qtilde(m: float) -> FixedPointResult:
 # multi-type extinction
 # --------------------------------------------------------------------------
 
-def extinction_probs(mb, max_iter: int = 100_000) -> np.ndarray:
+def extinction_probs(mb) -> np.ndarray:
     """Smallest fixed point of q = exp(-Mb (1 - q)) for Poisson offspring.
 
     ``mb[j, i]`` is the expected number of type-(i+1) children of a
@@ -182,7 +178,7 @@ def extinction_probs(mb, max_iter: int = 100_000) -> np.ndarray:
         raise DomainError("extinction probabilities require a supercritical mean matrix")
     k = mb.shape[0]
     q = np.zeros(k)
-    for _ in range(max_iter):
+    for _ in range(_EXTINCTION_MAX_ITER):
         q_new = np.exp(-mb @ (1.0 - q))
         if np.max(np.abs(q_new - q)) < 1e-10:
             q = q_new

@@ -62,7 +62,7 @@ _SLICE = 1 << 14
 
 def backward_mean_matrix(config: ModelConfig) -> np.ndarray:
     """mb[j, i] = (p_i / p_j) m[i, j]: mean type-i offspring of a type-j parent."""
-    m = mean_matrix(config).entries
+    m = mean_matrix(config)
     p = config.population.proportions
     return (p[None, :] / p[:, None]) * m.T
 
@@ -78,20 +78,12 @@ def laplace_mean_matrix(config: ModelConfig, x: float) -> np.ndarray:
         raise DomainError("Laplace argument must be >= 0")
     kern = config.kernel
     p = config.population.proportions
-    k = config.k
-    rates = kern.pair_rates()
-    phi = np.empty(k)
-    for i0 in range(k):
-        lat, iota = kern.latent[i0], kern.infectious[i0]
-        if x == 0.0:
-            phi[i0] = iota.mean()
-        else:
-            phi[i0] = lat.laplace(x) * (1.0 - iota.laplace(x)) / x
-    out = np.empty((k, k))
-    for j0 in range(k):
-        for i0 in range(k):
-            out[j0, i0] = p[i0] * rates[i0, j0] * phi[i0]
-    return out
+    if x == 0.0:
+        phi = np.array([iota.mean() for iota in kern.infectious])
+    else:
+        phi = np.array([lat.laplace(x) * (1.0 - iota.laplace(x)) / x
+                        for lat, iota in zip(kern.latent, kern.infectious)])
+    return (p[:, None] * kern.pair_rates() * phi[:, None]).T
 
 
 def solve_malthusian(config: ModelConfig) -> MalthusianSolution:
@@ -100,7 +92,7 @@ def solve_malthusian(config: ModelConfig) -> MalthusianSolution:
     The spectral radius is strictly decreasing in x with value R0 > 1 at
     x = 0, so bisection on an expanding bracket always succeeds.
     """
-    basic = r0(mean_matrix(config).entries)
+    basic = r0(mean_matrix(config))
     if basic <= 1.0:
         raise DomainError(f"Malthusian parameter requires R0 > 1, got R0 = {basic}")
 
@@ -261,12 +253,8 @@ def estimate_W(config: ModelConfig, root_type: int, horizon: float, alpha: float
 
 def survival_probability(config: ModelConfig, root_type: int) -> float:
     """1 - extinction probability of the backward process from a typed root."""
-    mb = backward_mean_matrix(config)
-    if r0(mb, require_irreducible=False) <= 1.0:
-        raise DomainError("survival probability requires R0 > 1")
-    j0 = config.population.type_index(root_type)
-    q = extinction_probs(mb)
-    return float(1.0 - q[j0])
+    q = extinction_probs(backward_mean_matrix(config))
+    return float(1.0 - q[config.population.type_index(root_type)])
 
 
 def extinction_frequency(config: ModelConfig, root_type: int, R: int, horizon: float,

@@ -143,7 +143,7 @@ def cmd_simulate(args, config, seed, out) -> int:
 
 def cmd_backward(args, config, seed, out) -> int:
     pop = config.population
-    if args.roots:
+    if args.roots is not None:
         try:
             roots = [int(v) for v in args.roots.split(",")]
         except ValueError:
@@ -230,8 +230,7 @@ def cmd_verify(args, config, seed, out) -> int:
         raise ConfigError("verify needs at least one replicate")
     if not (np.isfinite(args.slack) and args.slack >= 0):  # also rejects NaN
         raise DomainError(f"--slack must be finite and >= 0, got {args.slack}")
-    m = mean_matrix(config)
-    basic = r0(m.entries)
+    basic = r0(mean_matrix(config))
     if basic <= 1.0:
         raise DomainError(
             f"supercriticality assumption violated: R0 = {basic:.6g} <= 1"

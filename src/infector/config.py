@@ -26,6 +26,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from .analytic import is_irreducible
 from .errors import ConfigError, DomainError
 
 __all__ = [
@@ -35,7 +36,6 @@ __all__ = [
     "MarkedSingleProcess",
     "ExtremalTwoType",
     "ModelConfig",
-    "MeanMatrix",
     "Violation",
     "validate_config",
     "mean_matrix",
@@ -356,29 +356,6 @@ def resolve_initial(population: PopulationSpec, spec) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class MeanMatrix:
-    """Matrix of expected contact counts m[i][j] (0-based indexing)."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", np.asarray(self.entries, dtype=float))
-
-    @property
-    def k(self) -> int:
-        return self.entries.shape[0]
-
-    def is_irreducible(self) -> bool:
-        """Irreducibility of the positivity pattern, via reachability."""
-        k = self.k
-        reach = self.entries > 0
-        closure = reach.copy()
-        for _ in range(k):
-            closure = closure | (closure @ reach)
-        return bool(closure.all())
-
-
 # --------------------------------------------------------------------------
 # validation
 # --------------------------------------------------------------------------
@@ -392,8 +369,8 @@ class Violation:
         return f"[{self.assumption}] {self.message}"
 
 
-# Largest expected contact count a scenario may have: far below where R0's
-# power iteration overflows and numpy's Poisson sampler gives up.
+# Largest expected contact count a scenario may have: far below where the
+# Perron root R0 overflows and numpy's Poisson sampler gives up.
 _MAX_MEAN_CONTACTS = 2.0**30
 
 
@@ -436,7 +413,7 @@ def validate_config(config: ModelConfig) -> list:
             elif m.max() > _MAX_MEAN_CONTACTS:
                 report.append(Violation("finite-means", f"some expected contact count exceeds "
                                         f"2**30: {m.max():.3g}"))
-            elif not MeanMatrix(m).is_irreducible():
+            elif not is_irreducible(m):
                 report.append(
                     Violation("irreducibility", "positivity pattern of the mean matrix is reducible")
                 )
@@ -466,12 +443,12 @@ def _mean_entries(config: ModelConfig) -> np.ndarray:
     return kern.pair_rates() * p[None, :] * iota_means[:, None]
 
 
-def mean_matrix(config: ModelConfig) -> MeanMatrix:
+def mean_matrix(config: ModelConfig) -> np.ndarray:
     """Expected contact counts m[i][j] = p_j * rate_ij * E[infectious_i]."""
     m = _mean_entries(config)
     if not np.isfinite(m).all():
         raise ConfigError("mean matrix has nonfinite entries")
-    return MeanMatrix(m)
+    return m
 
 
 def sample_contact_process(rng: np.random.Generator, config: ModelConfig, type_i: int):

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize, stats
 
+import infector.analytic
 from infector.analytic import (
     analytic_report,
     borel_conditional_pmf,
@@ -60,6 +63,13 @@ def test_r0_eig_oracle_random():
         assert r0(m) == pytest.approx(oracle, rel=1e-10)
 
 
+@pytest.mark.parametrize("m", [np.zeros((0, 0)), np.ones((2, 3)), np.ones(4)],
+                         ids=["empty", "2x3", "vector"])
+def test_r0_shape_rejected(m):
+    with pytest.raises(DomainError):
+        r0(m)
+
+
 def test_r0_reducible_rejected():
     with pytest.raises(DomainError):
         r0(np.array([[2.0, 0.0], [0.0, 0.5]]))
@@ -67,9 +77,27 @@ def test_r0_reducible_rejected():
 
 @pytest.mark.parametrize("scale", [1e200, 1e308])
 def test_r0_overflow_raises(scale):
-    # the power iteration once overflowed silently and returned R0 = -1
+    # a representable root comes back accurately; only a root past the
+    # float range raises
+    m = np.array([[3.0, 1.5], [1.0, 2.5]]) / 3.0 * scale
+    assert r0(m) == pytest.approx(4.0 / 3.0 * scale, rel=1e-14)
     with pytest.raises(NumericError):
-        r0(np.array([[3.0, 1.5], [1.0, 2.5]]) / 3.0 * scale)
+        r0(np.full((2, 2), 1e308))
+
+
+def test_r0_random_2x2_closed_form():
+    rng = np.random.default_rng(2)
+    worst = 0.0
+    for a, b, c, d in rng.random((500, 4)) + 0.01:
+        oracle = (a + d + math.sqrt((a - d) ** 2 + 4 * b * c)) / 2.0
+        worst = max(worst, abs(r0(np.array([[a, b], [c, d]])) / oracle - 1.0))
+    assert worst <= 1e-14
+
+
+def test_r0_reducible_allowed():
+    # reducible and defective: a Jordan block and a nilpotent matrix
+    assert r0(np.array([[2.0, 1.0], [0.0, 2.0]]), require_irreducible=False) == 2.0
+    assert r0(np.array([[0.0, 3.0], [0.0, 0.0]]), require_irreducible=False) == 0.0
 
 
 def test_r0_matches_backward_matrix():
@@ -79,6 +107,20 @@ def test_r0_matches_backward_matrix():
         p = rng.dirichlet(np.ones(3))
         mb = (p[None, :] / p[:, None]) * m.T
         assert r0(mb) == pytest.approx(r0(m), abs=1e-10)
+
+
+def test_analytic_imports_only_errors_from_package():
+    # config imports analytic, so anything more here could bring back a cycle
+    tree = ast.parse(Path(infector.analytic.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert {m for m in imported if m.startswith((".", "infector"))} == {".errors"}
 
 
 # --------------------------------------------------------------------------
@@ -189,6 +231,12 @@ def test_extinction_probs_residual():
     q = extinction_probs(mb)
     resid = q - np.exp(-mb @ (1.0 - q))
     assert np.abs(resid).max() < 1e-12
+
+
+def test_extinction_probs_reducible():
+    mb = np.array([[2.0, 1.0], [0.0, 2.0]])
+    q = extinction_probs(mb)
+    assert np.abs(q - np.exp(-mb @ (1.0 - q))).max() < 1e-12
 
 
 def test_extinction_ordering_chain():

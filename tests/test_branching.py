@@ -46,7 +46,7 @@ from oracles import simulate_backward_bp, simulate_batch
 
 def test_backward_mean_matrix_entrywise():
     cfg = asymmetric_seir_config(n=100)
-    m = mean_matrix(cfg).entries
+    m = mean_matrix(cfg)
     p = cfg.population.proportions
     mb = backward_mean_matrix(cfg)
     for j in range(2):
@@ -108,6 +108,13 @@ def test_malthusian_symmetric_marked_lumps_to_single_type():
     a = solve_malthusian(symmetric_marked_config(n=100, m_tilde=2.0)).alpha
     b = solve_malthusian(single_type_config(n=100, rate=2.0)).alpha
     assert a == pytest.approx(b, abs=1e-11)
+
+
+def test_malthusian_readme_kernel_to_ulps():
+    # reference value from a 40-digit bisection on the Perron root of the
+    # 2 x 2 Laplace mean matrix of the README kernel
+    alpha = solve_malthusian(readme_config(2000)).alpha
+    assert abs(alpha - 0.83745875700496053121) <= 4 * math.ulp(0.83745875700496053121)
 
 
 def test_malthusian_subcritical_rejected():

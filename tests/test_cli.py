@@ -349,18 +349,18 @@ def test_simulate_default_method_is_eager(tmp_path):
 
 
 def test_bp_estimate_outputs_byte_identical(tmp_path):
-    # Digests recorded with the per-particle event-log simulator still in
-    # the package; the batched simulator must reproduce them.  2500
-    # replicates put ~5000 first-generation subtrees in two batches.
+    # Digests recorded with solve_malthusian's Perron roots taken by
+    # eigensolve.  2500 replicates put ~5000 first-generation subtrees in
+    # two batches.
     argv = ["bp-estimate", "--replicates", "2500", "--horizon", "5", "--force"]
     names = ["bp_replicates.csv", "bp_summary.csv"]
     assert _readme_digests(tmp_path, 2000, argv + ["--type", "1"], names) == {
-        "bp_replicates.csv": "e78cc53a23032759c86d4e657219751d2ee1d2b8d151895245a3461a6cb88f90",
-        "bp_summary.csv": "ee0c65dbe045a92bb106e0a8f2b8c52706dde2c5fd49c8e3a4d7d6a12fa16696",
+        "bp_replicates.csv": "3de2f4f6ced88e6ac203412a95dcfde33add11379d0f3e8f6e58fc3d2cbe2a35",
+        "bp_summary.csv": "6772b66bc631dc322cfb1f0ded4d820c7d88892c50862e9068c842d9676acf0f",
     }
     assert _readme_digests(tmp_path, 2000, argv + ["--type", "2"], names) == {
-        "bp_replicates.csv": "4a2ab803cd9047baf5f1b6e10034ee393ccd12150cbb46f19e5cd6364921c649",
-        "bp_summary.csv": "be8f4d55c2f2594f893933483072deac5b41b72a2fee1f30dc083b2b115fced2",
+        "bp_replicates.csv": "31363efc053b2f65e935a54f7cdbe0153edf388c43fdf67435ea521ef7c2b5c0",
+        "bp_summary.csv": "1fd32245058c5e6dba0d11d53d35e1128245e5bdc49a94e5e4cb3ba9f8dfd88e",
     }
 
 
@@ -457,6 +457,7 @@ def test_backward_alternating_roots_match_api(tmp_path, monkeypatch):
     pytest.param(["--roots", "-1"], "0..1999", id="--roots -1"),
     pytest.param(["--roots", "x"], "--roots", id="--roots x"),
     pytest.param(["--roots", "5,1.5"], "--roots", id="--roots 5,1.5"),
+    pytest.param(["--roots", ""], "--roots", id="--roots ''"),
     pytest.param(["--roots-per-type", "-3"], "--roots-per-type", id="--roots-per-type -3"),
     pytest.param(["--t-star", "nan"], "t_star", id="--t-star nan"),
     pytest.param(["--t-star", "-1"], "t_star", id="--t-star -1"),
@@ -531,7 +532,7 @@ def test_bp_estimate_infinite_horizon_is_usage_error(tmp_path, capsys):
 ], ids=lambda argv: argv[0])
 def test_huge_contact_rates_are_usage_errors(tmp_path, capsys, argv):
     # finite rates of 1e308 once gave a Poisson traceback (exit 1) or,
-    # through an overflowed power iteration, "R0 = -1"
+    # through an overflowed Perron-root computation, "R0 = -1"
     scenario = readme_scenario(2000)
     scenario["kernel"]["contact_rates"][0][0] = 1e308
     path = tmp_path / "huge.json"

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from infector.analytic import is_irreducible
 from infector.config import (
     Duration,
     MarkedSingleProcess,
     MarkovSEIR,
-    MeanMatrix,
     ModelConfig,
     PopulationSpec,
     config_from_dict,
@@ -157,7 +157,7 @@ def test_validate_seed_budget():
 
 @pytest.mark.parametrize("rate", [2.0**31, 1e308])
 def test_validate_rejects_huge_contact_rates(rate):
-    # finite, but over the bound; 1e308 also overflows R0's power iteration
+    # finite, but over the bound; 1e308 is also beyond numpy's Poisson sampler
     report = validate_config(single_type_config(n=100, rate=rate))
     assert [v.assumption for v in report] == ["finite-means"]
     assert "2**30" in str(report[0])
@@ -217,12 +217,12 @@ def test_non_integer_population_counts_rejected():
 
 def test_mean_matrix_marked():
     cfg = symmetric_marked_config(m_tilde=2.0)
-    assert np.allclose(mean_matrix(cfg).entries, np.ones((2, 2)))
+    assert np.allclose(mean_matrix(cfg), np.ones((2, 2)))
 
 
 def test_mean_matrix_single_type():
     cfg = single_type_config(rate=2.0)
-    assert mean_matrix(cfg).entries[0, 0] == pytest.approx(2.0)
+    assert mean_matrix(cfg)[0, 0] == pytest.approx(2.0)
 
 
 def test_mean_matrix_seir_monte_carlo(rng):
@@ -234,7 +234,7 @@ def test_mean_matrix_seir_monte_carlo(rng):
         contact_rates=[[1.0, 3.0], [1.0, 1.0]],
     )
     cfg = ModelConfig(population=pop, kernel=kern, initial_infecteds=(0,))
-    assert mean_matrix(cfg).entries[0, 1] == pytest.approx(0.6, abs=1e-12)
+    assert mean_matrix(cfg)[0, 1] == pytest.approx(0.6, abs=1e-12)
     counts = np.array([
         sum(1 for _, j in sample_contact_process(rng, cfg, 1) if j == 2)
         for _ in range(200_000)
@@ -245,15 +245,15 @@ def test_mean_matrix_seir_monte_carlo(rng):
 
 def test_mean_matrix_marked_ratio_identity():
     cfg = marked_config(1000, 0.3, 2.0, 1.5)
-    m = mean_matrix(cfg).entries
+    m = mean_matrix(cfg)
     p = cfg.population.proportions
     assert m[0, 0] / p[0] == pytest.approx(m[0, 1] / p[1], abs=1e-14)
     assert m[1, 0] / p[0] == pytest.approx(m[1, 1] / p[1], abs=1e-14)
 
 
 def test_mean_matrix_irreducibility_pattern():
-    assert MeanMatrix(np.array([[0.0, 1.0], [1.0, 0.0]])).is_irreducible()
-    assert not MeanMatrix(np.array([[1.0, 1.0], [0.0, 1.0]])).is_irreducible()
+    assert is_irreducible(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert not is_irreducible(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 # --------------------------------------------------------------------------
