@@ -65,16 +65,6 @@ from .errors import (
     NumericError,
     OutOfHorizonError,
 )
-from .forward import (
-    OutbreakResult,
-    RhoEstimate,
-    attribute_infectors,
-    is_large_outbreak,
-    replicate_records,
-    replicate_rho,
-    run_epidemic,
-    run_epidemic_lazy,
-)
 from .graph import (
     FIG1_LABELS,
     EpidemicGraph,
@@ -87,3 +77,17 @@ from .graph import (
 from .rng import derive_key, stream
 
 __version__ = "0.1.0"
+
+# forward loads scipy.sparse; its names are imported on first use.
+_FORWARD = frozenset({
+    "OutbreakResult", "RhoEstimate", "attribute_infectors", "is_large_outbreak",
+    "replicate_records", "replicate_rho", "run_epidemic", "run_epidemic_lazy",
+})
+
+
+def __getattr__(name):
+    if name in _FORWARD:
+        from . import forward
+
+        return getattr(forward, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -8,7 +8,8 @@ is law-equivalent to the incremental reveal used for coupling
 arguments; the reveal's flag events survive here only as a diagnostic
 collision counter.  Snapshots hold sorted id arrays built from length-n
 masks.  Restricted sets are breadth-first reachable sets of a masked
-transposed graph.
+transposed graph.  ``scipy.sparse.csgraph`` is imported inside the two
+searches, so importing this module loads numpy only.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
 from .errors import DomainError, OutOfHorizonError
 from .graph import EpidemicGraph
@@ -84,6 +84,8 @@ def explore_susceptibility(graph: EpidemicGraph, v: int, t_star: float) -> Susce
     discovers a new vertex, so the count is the number of those edges
     minus the vertices discovered besides v.
     """
+    from scipy.sparse.csgraph import dijkstra
+
     v = _check_root(graph, v)
     if not t_star >= 0:  # also rejects NaN
         raise DomainError(f"t_star must be >= 0, got {t_star}")
@@ -135,6 +137,8 @@ def restricted_susceptibility_size(graph: EpidemicGraph, v_star: int, i: int, j:
     head does not have type j; v_star must have type j.  The count
     includes v_star itself.
     """
+    from scipy.sparse.csgraph import breadth_first_order
+
     v_star = _check_root(graph, v_star)
     pop = graph.population
     i0, j0 = pop.type_index(i), pop.type_index(j)

@@ -167,12 +167,13 @@ def _simulate_batch(config: ModelConfig, root_types0: np.ndarray, horizon: float
                     birth = biased[at:at + n]
                     birth *= rng.random(n)  # uniform draws may come in slices: no buffered state
                     birth += lat if np.ndim(lat) == 0 else lat[at:at + n]
-                    birth += np.repeat(times[p:p + _SLICE], cs)
-                    keep = birth <= horizon
-                    births.append(birth[keep])
-                    runs.append(np.repeat(run[p:p + _SLICE], cs)[keep])
+                    parent = np.arange(len(cs)).repeat(cs.astype(np.intp))  # slice-local ids
+                    birth += times[p:p + _SLICE].take(parent)
+                    kept = np.flatnonzero(birth <= horizon)
+                    births.append(birth.take(kept))
+                    runs.append(run[p:p + _SLICE].take(parent.take(kept)))
                     at += n
-            del counts, c, cs, biased, lat, birth, keep  # free the draws before the join
+            del counts, c, cs, biased, lat, birth, parent, kept  # free the draws before the join
             birth, child_run = np.concatenate(births), np.concatenate(runs)
             del births, runs
             if not len(birth):

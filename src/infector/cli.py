@@ -40,7 +40,6 @@ from .config import (
     validate_config,
 )
 from .errors import ConfigError, DomainError, InfectorError, NoDataError
-from .forward import aggregate_rho, replicate_records, replicate_rho
 from .graph import build_graph
 
 __all__ = ["main"]
@@ -111,6 +110,8 @@ def _marked_params(config: ModelConfig, kern):
 # --------------------------------------------------------------------------
 
 def cmd_simulate(args, config, seed, out) -> int:
+    from .forward import aggregate_rho, replicate_records  # loads scipy.sparse
+
     records = replicate_records(
         config, args.replicates, threshold=args.threshold,
         master_seed=seed, method=args.method, threads=args.threads,
@@ -226,6 +227,8 @@ def cmd_bounds(args, config, seed, out) -> int:
 
 
 def cmd_verify(args, config, seed, out) -> int:
+    from .forward import replicate_rho  # loads scipy.sparse
+
     if args.replicates < 1:
         raise ConfigError("verify needs at least one replicate")
     if not (np.isfinite(args.slack) and args.slack >= 0):  # also rejects NaN

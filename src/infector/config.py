@@ -21,8 +21,8 @@ Type indices in the public API are 1-based (1..K); vertex ids are
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import rng as rngmod
 from ._kernels import dijkstra
-from .config import ExtremalTwoType, ModelConfig, mean_matrix
+from .config import ExtremalTwoType, ModelConfig
 from .errors import DomainError, NoDataError
 from .graph import EpidemicGraph, build_graph
 

@@ -14,7 +14,9 @@ transpose.  ``build_graph`` draws the edges in per-type blocks and frees
 each block list as it is joined; ``_assemble`` then orders the edges
 with two sorts and frees each unsorted array as its sorted copy is
 made, so the build peaks at 1.8 to 1.9 times the finished forward CSR
-(tracemalloc, README kernel at n = 5e4 to 2e5).
+(tracemalloc, README kernel at n = 5e4 to 2e5).  ``scipy.sparse`` is
+imported only inside the two methods that build a transpose, so a
+process that never searches a graph does not load it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from . import rng as rngmod
 from .config import ExtremalTwoType, ModelConfig, PopulationSpec
@@ -49,7 +50,7 @@ class EpidemicGraph:
     heads: np.ndarray
     weights: np.ndarray
     realized_seed: int = 0
-    _reverse: Optional[csr_matrix] = field(default=None, repr=False, compare=False)
+    _reverse: object = field(default=None, repr=False, compare=False)  # scipy CSR transpose
     # (restriction, matrix) of the last restricted view asked for
     _restricted: tuple = field(default=(None, None), repr=False, compare=False)
 
@@ -72,6 +73,8 @@ class EpidemicGraph:
     def reverse_csr(self):
         """CSR arrays (indptr, tails, weights) of the transposed graph (cached)."""
         if self._reverse is None:
+            from scipy.sparse import csr_matrix
+
             # The forward rows are in (tail, weight) order and scipy's CSR to
             # CSC conversion is a stable counting sort, so every head's
             # in-edges come out in (tail, weight) order, with int32 ids.
@@ -91,6 +94,8 @@ class EpidemicGraph:
         if restriction is None:
             return self._reverse
         if self._restricted[0] != restriction:
+            from scipy.sparse import csr_matrix
+
             self._restricted = (None, None)  # free the old view first
             # Types are contiguous id blocks, so the edges into type-j0
             # heads are one slice of the transposed edge arrays.

@@ -16,7 +16,7 @@ from infector import forward
 from infector.analytic import analytic_report
 from infector.backward import explore_susceptibility, restricted_susceptibility_size
 from infector.cli import main
-from infector.config import config_to_dict
+from infector.config import config_from_dict, config_to_dict
 from infector.graph import EpidemicGraph, build_graph
 from infector.rng import stream
 
@@ -52,6 +52,16 @@ def _read_csv(path):
 # exit codes
 # --------------------------------------------------------------------------
 
+def _child_stdout(code, *argv):
+    """Stdout of ``python -c code argv...`` in a fresh interpreter importing this infector."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(infector.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                         text=True, check=True)
+    return out.stdout.strip()
+
+
 def test_cli_import_skips_scipy_stats_and_integrate():
     # each costs a large share of the CLI's start-up; the package reaches
     # scipy.integrate only inside eta_cdf, scipy.special only inside the
@@ -59,12 +69,50 @@ def test_cli_import_skips_scipy_stats_and_integrate():
     # not at all
     code = ("import sys, infector.cli; print([m for m in "
             "('scipy.stats', 'scipy.integrate', 'scipy.special') if m in sys.modules])")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(infector.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert _child_stdout(code) == "[]"
+
+
+def test_cli_loads_scipy_sparse_only_where_a_graph_is_searched(tmp_path):
+    # bp-estimate and bounds never search a graph, so neither they nor
+    # the CLI's import load the sparse-graph stack
+    bp = _write_config(tmp_path, config_from_dict(readme_scenario(400)), "bp.json")
+    marked = _write_config(tmp_path, marked_config(400, 0.4, 3.0, 2.0), "marked.json")
+    code = (
+        "import sys, infector.cli as c\n"
+        "loaded = lambda: [m for m in ('scipy.sparse', 'infector.forward', 'infector._kernels')"
+        " if m in sys.modules]\n"
+        "print(loaded())\n"
+        "a, b, o = sys.argv[1:]\n"
+        "assert c.main(['bp-estimate', '--config', a, '--type', '1', '--replicates', '20',"
+        " '--horizon', '4', '--output-dir', o + '/bp']) == 0\n"
+        "assert c.main(['bounds', '--config', b, '--output-dir', o + '/bounds']) == 0\n"
+        "print(loaded())\n"
+        "import infector\n"  # a forward name loads forward on first use
+        "print(infector.replicate_rho is sys.modules['infector.forward'].replicate_rho)\n"
+    )
+    lines = _child_stdout(code, bp, marked, str(tmp_path)).splitlines()
+    assert lines[0] == "[]" and lines[-2] == "[]" and lines[-1] == "True"
+    assert (tmp_path / "bp" / "bp_replicates.csv").exists()
+
+
+def test_kernels_import_loads_csgraph():
+    # the benchmark's set-up child imports infector._kernels to pay the
+    # csgraph import outside the timed forward and backward commands
+    code = "import sys, infector._kernels; print('scipy.sparse.csgraph' in sys.modules)"
+    assert _child_stdout(code) == "True"
+
+
+@pytest.mark.parametrize("name", [
+    "OutbreakResult", "RhoEstimate", "attribute_infectors", "is_large_outbreak",
+    "replicate_records", "replicate_rho", "run_epidemic", "run_epidemic_lazy",
+])
+def test_package_serves_forward_names_lazily(name):
+    assert getattr(infector, name) is getattr(forward, name)
+
+
+def test_package_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        infector.no_such_name
 
 
 def test_missing_config_file(tmp_path):
