@@ -13,7 +13,6 @@ from .analytic import (
     borel_mean_inverse,
     borel_pmf,
     extinction_probs,
-    extinction_probs_2type,
     fixed_point_q,
     fixed_point_qtilde,
     is_irreducible,

@@ -8,7 +8,7 @@ binomial/Poisson total-variation distance used by the coupling checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,7 +22,6 @@ __all__ = [
     "fixed_point_q",
     "fixed_point_qtilde",
     "extinction_probs",
-    "extinction_probs_2type",
     "borel_pmf",
     "borel_mean_inverse",
     "borel_conditional_pmf",
@@ -33,15 +32,15 @@ __all__ = [
 ]
 
 _RESIDUAL_TOL = 1e-12
-# Step cap of extinction_probs's monotone iteration before its Newton polish.
-_EXTINCTION_MAX_ITER = 100_000
+# Step cap of extinction_probs's monotone iteration, the warm start of its
+# Newton polish: enough for every mean matrix away from criticality.
+_EXTINCTION_MAX_ITER = 1_000
 
 
 @dataclass(frozen=True)
 class FixedPointResult:
     value: float
     residual: float
-    iterations: int
 
 
 @dataclass(frozen=True)
@@ -61,16 +60,8 @@ class AnalyticReport:
     rho1_plus: float
 
     def rows(self):
-        return [
-            ("r0", self.r0),
-            ("q", self.q),
-            ("q_tilde_1", self.q_tilde_1),
-            ("q_tilde_2", self.q_tilde_2),
-            ("q1", self.q1),
-            ("q2", self.q2),
-            ("rho1_minus", self.rho1_minus),
-            ("rho1_plus", self.rho1_plus),
-        ]
+        """(name, value) of each output, in field order after the three model inputs."""
+        return [(f.name, getattr(self, f.name)) for f in fields(self)[3:]]
 
 
 # --------------------------------------------------------------------------
@@ -107,63 +98,7 @@ def r0(entries, require_irreducible: bool = True) -> float:
 
 
 # --------------------------------------------------------------------------
-# scalar fixed points
-# --------------------------------------------------------------------------
-
-def _bisect(f, lo: float, hi: float) -> tuple:
-    """Bisection to machine precision; f(lo) and f(hi) must differ in sign."""
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo, 0
-    if fhi == 0.0:
-        return hi, 0
-    if np.sign(flo) == np.sign(fhi):
-        raise NumericError("bisection bracket does not straddle a root")
-    it = 0
-    while True:
-        it += 1
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi or it > 200:
-            return mid, it
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid, it
-        if np.sign(fmid) == np.sign(flo):
-            lo, flo = mid, fmid
-        else:
-            hi, fhi = mid, fmid
-
-
-def fixed_point_q(r0_value: float) -> FixedPointResult:
-    """Unique solution in (0,1) of x = exp(-(1-x) r0), for r0 > 1.
-
-    ``1 - q`` is the final fraction infected given a large outbreak.
-    """
-    if not r0_value > 1.0:
-        raise DomainError(f"fixed_point_q requires r0 > 1, got {r0_value}")
-    f = lambda x: x - np.exp(-(1.0 - x) * r0_value)
-    root, it = _bisect(f, 1e-300, 1.0 - 1e-15)
-    residual = abs(f(root))
-    if residual >= _RESIDUAL_TOL:
-        raise NumericError(f"fixed point residual {residual:.3g} too large")
-    return FixedPointResult(float(root), float(residual), it)
-
-
-def fixed_point_qtilde(m: float) -> FixedPointResult:
-    """Smallest positive solution in (0,1] of x = exp(-m (1-x)).
-
-    Returns 1 exactly when m <= 1 (sub- or exactly critical restriction).
-    """
-    if m < 0:
-        raise DomainError("offspring mean must be >= 0")
-    if m <= 1.0:
-        return FixedPointResult(1.0, 0.0, 0)
-    res = fixed_point_q(m)
-    return res
-
-
-# --------------------------------------------------------------------------
-# multi-type extinction
+# extinction fixed points
 # --------------------------------------------------------------------------
 
 def extinction_probs(mb) -> np.ndarray:
@@ -171,7 +106,9 @@ def extinction_probs(mb) -> np.ndarray:
 
     ``mb[j, i]`` is the expected number of type-(i+1) children of a
     type-(j+1) parent.  Iteration from the zero vector increases
-    monotonically to the extinction-probability vector.
+    monotonically toward the extinction-probability vector; Newton's
+    method from any point below it stays below it and converges, so a
+    capped monotone run is its warm start.
     """
     mb = np.asarray(mb, dtype=float)
     if r0(mb, require_irreducible=False) <= 1.0:
@@ -198,13 +135,31 @@ def extinction_probs(mb) -> np.ndarray:
     raise NumericError(f"extinction fixed point stalled at residual {residual:.3g}")
 
 
-def extinction_probs_2type(mb) -> tuple:
-    """Extinction probabilities (q1, q2) of a two-type Poisson-offspring process."""
-    mb = np.asarray(mb, dtype=float)
-    if mb.shape != (2, 2):
-        raise DomainError("expected a 2 x 2 backward mean matrix")
-    q = extinction_probs(mb)
-    return float(q[0]), float(q[1])
+def fixed_point_q(r0_value: float) -> FixedPointResult:
+    """Smallest solution in (0,1) of x = exp(-(1-x) r0), for r0 > 1.
+
+    The one-type case of ``extinction_probs``; ``1 - q`` is the final
+    fraction infected given a large outbreak.
+    """
+    if not r0_value > 1.0:
+        raise DomainError(f"fixed_point_q requires r0 > 1, got {r0_value}")
+    value = float(extinction_probs(np.array([[r0_value]]))[0])
+    residual = abs(value - np.exp(-(1.0 - value) * r0_value))
+    if residual >= _RESIDUAL_TOL:
+        raise NumericError(f"fixed point residual {residual:.3g} too large")
+    return FixedPointResult(value, float(residual))
+
+
+def fixed_point_qtilde(m: float) -> FixedPointResult:
+    """Smallest positive solution in (0,1] of x = exp(-m (1-x)).
+
+    Returns 1 exactly when m <= 1 (sub- or exactly critical restriction).
+    """
+    if m < 0:
+        raise DomainError("offspring mean must be >= 0")
+    if m <= 1.0:
+        return FixedPointResult(1.0, 0.0)
+    return fixed_point_q(m)
 
 
 # --------------------------------------------------------------------------
@@ -290,14 +245,8 @@ def rho21_min(m11b: float, q1: float, q_tilde_1: float) -> float:
     return float(min(max(value, 0.0), 1.0))
 
 
-def theorem2_bounds(p1: float, m1_tilde: float, m2_tilde: float, as_printed: bool = False):
-    """Bounds (rho1_minus, rho1_plus) on the type-1 attribution fraction.
-
-    Default is the derivation-consistent form
-    ``rho1+ = 1 - (1 - p1 m1 (qt1 + q) / 2) (qt1 - q) / (1 - q)``;
-    ``as_printed=True`` drops the leading ``1 -`` on both bounds for
-    comparison with the alternative statement.
-    """
+def _marked_fixed_points(p1: float, m1_tilde: float, m2_tilde: float) -> tuple:
+    """(R0, q, q_tilde_1, q_tilde_2) of a two-type marked model with R0 > 1."""
     if not (0 < p1 < 1):
         raise DomainError("p1 must lie in (0, 1)")
     if m1_tilde < 0 or m2_tilde < 0:
@@ -306,36 +255,41 @@ def theorem2_bounds(p1: float, m1_tilde: float, m2_tilde: float, as_printed: boo
     r0_value = p1 * m1_tilde + p2 * m2_tilde
     if r0_value <= 1.0:
         raise DomainError(f"bounds require R0 > 1, got {r0_value}")
-    q = fixed_point_q(r0_value).value
-    qt1 = fixed_point_qtilde(p1 * m1_tilde).value
-    qt2 = fixed_point_qtilde(p2 * m2_tilde).value
+    return (r0_value, fixed_point_q(r0_value).value,
+            fixed_point_qtilde(p1 * m1_tilde).value, fixed_point_qtilde(p2 * m2_tilde).value)
 
+
+def _rho1_bounds(p1, m1_tilde, m2_tilde, q, qt1, qt2, as_printed=False) -> tuple:
+    """Theorem 2's (rho1_minus, rho1_plus) from the model's fixed points."""
     def plus(p, mt, qt):
         inner = (1.0 - p * mt * (qt + q) / 2.0) * (qt - q) / (1.0 - q)
         return inner if as_printed else 1.0 - inner
 
     rho1_plus = plus(p1, m1_tilde, qt1)
-    rho2_plus = plus(p2, m2_tilde, qt2)
-    rho1_minus = 1.0 - rho2_plus
-    rho1_minus = float(min(max(rho1_minus, 0.0), 1.0))
-    rho1_plus = float(min(max(rho1_plus, 0.0), 1.0))
-    return rho1_minus, rho1_plus
+    rho1_minus = 1.0 - plus(1.0 - p1, m2_tilde, qt2)
+    return float(min(max(rho1_minus, 0.0), 1.0)), float(min(max(rho1_plus, 0.0), 1.0))
+
+
+def theorem2_bounds(p1: float, m1_tilde: float, m2_tilde: float, as_printed: bool = False):
+    """Bounds (rho1_minus, rho1_plus) on the type-1 attribution fraction.
+
+    Default is the derivation-consistent form
+    ``rho1+ = 1 - (1 - p1 m1 (qt1 + q) / 2) (qt1 - q) / (1 - q)``;
+    ``as_printed=True`` drops the leading ``1 -`` on both bounds for
+    comparison with the alternative statement.
+    """
+    _, q, qt1, qt2 = _marked_fixed_points(p1, m1_tilde, m2_tilde)
+    return _rho1_bounds(p1, m1_tilde, m2_tilde, q, qt1, qt2, as_printed)
 
 
 def analytic_report(p1: float, m1_tilde: float, m2_tilde: float) -> AnalyticReport:
     """Evaluate the whole fixed-point layer for a two-type marked model."""
-    p2 = 1.0 - p1
-    r0_value = p1 * m1_tilde + p2 * m2_tilde
-    if r0_value <= 1.0:
-        raise DomainError(f"analytic report requires R0 > 1, got {r0_value}")
-    q = fixed_point_q(r0_value).value
-    qt1 = fixed_point_qtilde(p1 * m1_tilde).value
-    qt2 = fixed_point_qtilde(p2 * m2_tilde).value
+    r0_value, q, qt1, qt2 = _marked_fixed_points(p1, m1_tilde, m2_tilde)
     # backward mean matrix of the marked model: child-type-i mean is p_i m_i
     # regardless of the parent's type
-    mb = np.array([[p1 * m1_tilde, p2 * m2_tilde], [p1 * m1_tilde, p2 * m2_tilde]])
-    q1, q2 = extinction_probs_2type(mb)
-    lo, hi = theorem2_bounds(p1, m1_tilde, m2_tilde)
+    row = [p1 * m1_tilde, (1.0 - p1) * m2_tilde]
+    q1, q2 = extinction_probs(np.array([row, row]))
+    lo, hi = _rho1_bounds(p1, m1_tilde, m2_tilde, q, qt1, qt2)
     return AnalyticReport(
         p1=p1,
         m1_tilde=m1_tilde,
@@ -344,8 +298,8 @@ def analytic_report(p1: float, m1_tilde: float, m2_tilde: float) -> AnalyticRepo
         q=q,
         q_tilde_1=qt1,
         q_tilde_2=qt2,
-        q1=q1,
-        q2=q2,
+        q1=float(q1),
+        q2=float(q2),
         rho1_minus=lo,
         rho1_plus=hi,
     )

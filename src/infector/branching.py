@@ -28,8 +28,8 @@ from typing import Optional
 import numpy as np
 
 from . import rng as rngmod
-from .analytic import _bisect, extinction_probs, r0
-from .config import ModelConfig, mean_matrix
+from .analytic import extinction_probs, r0
+from .config import ExtremalTwoType, ModelConfig, mean_matrix
 from .errors import CapExceededError, DomainError, NoDataError, NumericError
 
 __all__ = [
@@ -67,6 +67,13 @@ def backward_mean_matrix(config: ModelConfig) -> np.ndarray:
     return (p[None, :] / p[:, None]) * m.T
 
 
+def _refuse_extremal(config: ModelConfig) -> None:
+    """The extremal kernel's edge weights do not follow its base kernel's ages."""
+    if isinstance(config.kernel, ExtremalTwoType):
+        raise DomainError("extremal_two_type has no backward branching process: "
+                          "its edge weights do not follow the base kernel's contact ages")
+
+
 def laplace_mean_matrix(config: ModelConfig, x: float) -> np.ndarray:
     """Laplace transform of the backward mean offspring measure at x >= 0.
 
@@ -74,6 +81,7 @@ def laplace_mean_matrix(config: ModelConfig, x: float) -> np.ndarray:
     contact measure of type i toward type j; at x = 0 this is the
     backward mean matrix.  Closed form for the whole duration menu.
     """
+    _refuse_extremal(config)
     if x < 0:
         raise DomainError("Laplace argument must be >= 0")
     kern = config.kernel
@@ -84,6 +92,29 @@ def laplace_mean_matrix(config: ModelConfig, x: float) -> np.ndarray:
         phi = np.array([lat.laplace(x) * (1.0 - iota.laplace(x)) / x
                         for lat, iota in zip(kern.latent, kern.infectious)])
     return (p[:, None] * kern.pair_rates() * phi[:, None]).T
+
+
+def _bisect(f, lo: float, hi: float) -> float:
+    """Bisection to machine precision; f(lo) and f(hi) must differ in sign."""
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if np.sign(flo) == np.sign(fhi):
+        raise NumericError("bisection bracket does not straddle a root")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        fmid = f(mid)
+        if fmid == 0.0:
+            return mid
+        if np.sign(fmid) == np.sign(flo):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def solve_malthusian(config: ModelConfig) -> MalthusianSolution:
@@ -104,7 +135,7 @@ def solve_malthusian(config: ModelConfig) -> MalthusianSolution:
         lo, hi = hi, hi * 2.0
         if hi > 1e12:
             raise NumericError("failed to bracket the Malthusian parameter")
-    alpha, _ = _bisect(g, lo, hi)
+    alpha = _bisect(g, lo, hi)
     residual = abs(g(alpha))
     if residual >= 1e-10:
         raise NumericError(f"Malthusian residual {residual:.3g} too large")
@@ -138,6 +169,7 @@ def _simulate_batch(config: ModelConfig, root_types0: np.ndarray, horizon: float
     A generation is a list of (type, run ids, birth times) blocks: one
     per stretch of equal root types, then one per child type.
     """
+    _refuse_extremal(config)
     kern = config.kernel
     mb = backward_mean_matrix(config)
     if mb.max() > 2**30:  # Poisson counts then stay far below 2**31: int32 holds them

@@ -19,11 +19,12 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import astuple, fields
 
 import numpy as np
 
 from . import rng as rngmod
-from .analytic import analytic_report, fixed_point_q, r0
+from .analytic import AnalyticReport, analytic_report, fixed_point_q, r0
 from .backward import (
     default_t_star,
     explore_susceptibility,
@@ -48,6 +49,9 @@ EXIT_PASS = 0
 EXIT_VERDICT = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+
+# Columns of bounds.csv and sweep.csv: the model inputs, then the report's outputs.
+_REPORT_COLUMNS = [f.name for f in fields(AnalyticReport)]
 
 
 def _fmt(x) -> str:
@@ -159,12 +163,12 @@ def cmd_backward(args, config, seed, out) -> int:
             pick = rng.choice(ids, size=min(args.roots_per_type, len(ids)),
                               replace=False)
             roots.extend(int(v) for v in np.sort(pick))
-    graph = build_graph(config, rngmod.stream(seed, "graph"))
     if args.t_star is not None:
         t_star = args.t_star
     else:
         alpha = solve_malthusian(config).alpha
         t_star = default_t_star(pop.n, alpha, kappa=args.kappa)
+    graph = build_graph(config, rngmod.stream(seed, "graph"))
 
     rows = []
     for v in roots:
@@ -221,8 +225,7 @@ def cmd_bounds(args, config, seed, out) -> int:
     for name, value in report.rows():
         print(f"{name:<{width}}  {value:.12g}")
     if out:
-        header = ["p1", "m1_tilde", "m2_tilde"] + [n for n, _ in report.rows()]
-        out["bounds.csv"].write(header, [[p1, m1, m2] + [v for _, v in report.rows()]])
+        out["bounds.csv"].write(_REPORT_COLUMNS, [astuple(report)])
     return EXIT_PASS
 
 
@@ -281,20 +284,17 @@ def _grid(text: str) -> list:
 
 
 def cmd_sweep(args, config, seed, out) -> int:
-    names = ["r0", "q", "q_tilde_1", "q_tilde_2", "q1", "q2",
-             "rho1_minus", "rho1_plus"]
-    header = ["p1", "m1_tilde", "m2_tilde"] + names + ["error"]
+    n_outputs = len(_REPORT_COLUMNS) - 3
     rows = []
     for p1 in args.p1_grid:
         for m1 in args.m1_grid:
             for m2 in args.m2_grid:
                 try:
-                    rep = analytic_report(p1, m1, m2)
-                    rows.append([p1, m1, m2] + [v for _, v in rep.rows()] + [""])
+                    rows.append([*astuple(analytic_report(p1, m1, m2)), ""])
                 except InfectorError as exc:
-                    rows.append([p1, m1, m2] + [np.nan] * len(names)
+                    rows.append([p1, m1, m2] + [np.nan] * n_outputs
                                 + [type(exc).__name__])
-    out["sweep.csv"].write(header, rows)
+    out["sweep.csv"].write(_REPORT_COLUMNS + ["error"], rows)
     print(f"wrote {len(rows)} grid points to {out['sweep.csv'].path}")
     return EXIT_PASS
 
@@ -303,9 +303,8 @@ def cmd_sweep(args, config, seed, out) -> int:
 # argument parsing
 # --------------------------------------------------------------------------
 
-def _add_common(sub, config_required=True):
-    if config_required:
-        sub.add_argument("--config", required=True, help="JSON scenario file")
+def _add_common(sub):
+    sub.add_argument("--config", required=True, help="JSON scenario file")
     sub.add_argument("--seed", type=int, default=None,
                      help="override the config seed")
     sub.add_argument("--output-dir", default="out", help="output directory")

@@ -15,7 +15,6 @@ from infector.analytic import (
     borel_mean_inverse,
     borel_pmf,
     extinction_probs,
-    extinction_probs_2type,
     fixed_point_q,
     fixed_point_qtilde,
     r0,
@@ -168,13 +167,39 @@ def test_fixed_point_residual_property(r):
     assert abs(res.value - math.exp(-r * (1.0 - res.value))) < 1e-12
 
 
+@pytest.mark.parametrize("r", [1.001, 1.01, 1.02, 1.04])
+def test_fixed_point_q_near_critical_oracle(r):
+    # the smallest root lies below 1/r; brentq on [1e-12, 1/r] cannot return 1
+    oracle = optimize.brentq(lambda x: x - math.exp(-r * (1.0 - x)), 1e-12, 1.0 / r,
+                             xtol=1e-15, rtol=8.9e-16)
+    assert abs(fixed_point_q(r).value - oracle) <= 1e-9
+
+
+@pytest.mark.parametrize("p1, m1t, m2t", [
+    (0.5, 1.02, 1.02),   # R0 = 1.02
+    (0.5, 2.06, 0.5),    # p1 m1 = 1.03 > 1
+    (0.3, 3.4, 0.5),     # p1 m1 = 1.02
+    (0.05, 0.5, 1.1),    # R0 = 1.07, p2 m2 = 1.045
+    (0.6, 1.04, 1.0),    # R0 = 1.024
+    (0.2, 1.0, 1.01),    # R0 = 1.008
+])
+def test_analytic_report_near_critical_marked(p1, m1t, m2t):
+    # a marked model's backward process is one-type in disguise: q = q1 = q2
+    rep = analytic_report(p1, m1t, m2t)
+    assert abs(rep.q1 - rep.q) <= 1e-12 and abs(rep.q2 - rep.q) <= 1e-12
+    for m, qt in ((p1 * m1t, rep.q_tilde_1), ((1.0 - p1) * m2t, rep.q_tilde_2)):
+        assert (qt < 1.0) == (m > 1.0)
+        if m > 1.0:  # the smallest root, not one ulp below the trivial root 1
+            assert m * qt < 1.0 and abs(qt - math.exp(-m * (1.0 - qt))) < 1e-12
+
+
 # --------------------------------------------------------------------------
 # multitype extinction
 # --------------------------------------------------------------------------
 
 def test_extinction_symmetric_collapse():
     mb = np.ones((2, 2))  # marked symmetric, R0 = 2
-    q1, q2 = extinction_probs_2type(mb)
+    q1, q2 = extinction_probs(mb)
     q = fixed_point_q(2.0).value
     assert q1 == pytest.approx(q, abs=1e-12)
     assert q2 == pytest.approx(q, abs=1e-12)
@@ -183,7 +208,7 @@ def test_extinction_symmetric_collapse():
 def test_extinction_no_type1_children_identity():
     # exp(-m12b (1 - q2)) = q1 exp(m11b (1 - q1)) for any 2-type system
     mb = np.array([[1.2, 0.9], [0.4, 1.1]])
-    q1, q2 = extinction_probs_2type(mb)
+    q1, q2 = extinction_probs(mb)
     lhs = math.exp(-mb[0, 1] * (1.0 - q2))
     rhs = q1 * math.exp(mb[0, 0] * (1.0 - q1))
     assert lhs == pytest.approx(rhs, abs=1e-10)
@@ -216,7 +241,7 @@ def _simulate_extinction_2type(mb, runs, rng, max_pop=20000):
 
 def test_extinction_probs_simulation_oracle():
     mb = np.array([[1.5, 0.2], [0.2, 0.8]])
-    q1, q2 = extinction_probs_2type(mb)
+    q1, q2 = extinction_probs(mb)
     rng = np.random.default_rng(42)
     runs = 40000
     ext1, ext2 = _simulate_extinction_2type(mb, runs, rng)
@@ -317,7 +342,7 @@ def _marked_pair(p1, m1t, m2t):
     """(m11b, q1) for a marked model; q1 from the 2-type extinction system."""
     p2 = 1.0 - p1
     mb = np.array([[p1 * m1t, p2 * m2t], [p1 * m1t, p2 * m2t]])
-    q1, _ = extinction_probs_2type(mb)
+    q1, _ = extinction_probs(mb)
     return p1 * m1t, q1
 
 

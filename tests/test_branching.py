@@ -32,6 +32,7 @@ from infector.rng import stream
 
 from conftest import (
     asymmetric_seir_config,
+    extremal_config,
     marked_config,
     readme_config,
     single_type_config,
@@ -84,6 +85,19 @@ def test_laplace_monotone_vanishes():
 def test_laplace_negative_argument():
     with pytest.raises(DomainError):
         laplace_mean_matrix(single_type_config(n=10), -0.5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda cfg: laplace_mean_matrix(cfg, 0.5),
+    solve_malthusian,
+    lambda cfg: estimate_rho_bp(cfg, 1, R=10, horizon=2.0),
+    lambda cfg: estimate_W(cfg, 1, horizon=2.0, alpha=0.5, R=10),
+    lambda cfg: extinction_frequency(cfg, 1, R=10, horizon=2.0),
+], ids=["laplace", "malthusian", "rho_bp", "W", "extinction_frequency"])
+def test_extremal_kernel_has_no_backward_process(call):
+    # its edge weights are micro-interval uniforms, not the base kernel's ages
+    with pytest.raises(DomainError, match="extremal_two_type"):
+        call(extremal_config(n=200))
 
 
 # --------------------------------------------------------------------------

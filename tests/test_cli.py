@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import hashlib
 import json
@@ -21,6 +22,7 @@ from infector.graph import EpidemicGraph, build_graph
 from infector.rng import stream
 
 from conftest import (
+    extremal_config,
     marked_config,
     readme_config,
     readme_scenario,
@@ -113,6 +115,22 @@ def test_package_serves_forward_names_lazily(name):
 def test_package_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         infector.no_such_name
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    package = os.path.dirname(os.path.abspath(infector.__file__))
+    offenders = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("infector")):
+                offenders += [f"{name}: {node.module}.{alias.name}" for alias in node.names
+                              if alias.name.startswith("_")]
+    assert offenders == []
 
 
 def test_missing_config_file(tmp_path):
@@ -520,6 +538,25 @@ def test_backward_bad_arguments_are_usage_errors(tmp_path, capsys, bad, says):
     assert not (tmp_path / "o" / "backward.csv").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["bp-estimate", "--type", "1", "--replicates", "200", "--horizon", "6"],
+    ["backward", "--roots-per-type", "2"],
+], ids=["bp-estimate", "backward"])
+def test_extremal_kernel_refused_on_the_backward_side(tmp_path, capsys, command):
+    cfg = _write_config(tmp_path, extremal_config(n=2000))
+    rc = main(command + ["--config", cfg, "--output-dir", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and "extremal_two_type" in err
+
+
+def test_extremal_backward_search_with_given_t_star(tmp_path):
+    # the graph search itself is defined; only the default t_star needs alpha
+    cfg = _write_config(tmp_path, extremal_config(n=2000))
+    assert main(["backward", "--config", cfg, "--roots-per-type", "2", "--t-star", "0.001",
+                 "--output-dir", str(tmp_path / "o")]) == 0
+
+
 def test_bp_estimate_outputs(tmp_path, capsys):
     cfg = _write_config(tmp_path, symmetric_marked_config(n=400, seed=21))
     rc = main(["bp-estimate", "--config", cfg, "--type", "1",
@@ -604,6 +641,14 @@ def test_bounds_stdout_matches_report(tmp_path, capsys):
     for name, value in rep.rows():
         line = next(l for l in out.splitlines() if l.startswith(name))
         assert float(line.split()[-1]) == pytest.approx(value, rel=1e-10)
+
+
+def test_bounds_near_critical_marked(capsys):
+    # R0 = 1.02: q = q1 = q2 = 0.961042, not the trivial root 1
+    assert main(["bounds", "--p1", "0.5", "--m1", "1.02", "--m2", "1.02"]) == 0
+    values = dict(line.split() for line in capsys.readouterr().out.splitlines())
+    assert abs(float(values["rho1_plus"]) - 0.500066) <= 1e-6
+    assert float(values["q"]) == pytest.approx(float(values["q1"]), abs=1e-12)
 
 
 def test_bounds_requires_parameters():
