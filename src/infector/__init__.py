@@ -52,7 +52,6 @@ from .config import (
     eta_cdf,
     load_config,
     mean_matrix,
-    sample_contact_process,
     validate_config,
 )
 from .errors import (
@@ -69,6 +68,7 @@ from .graph import (
     EpidemicGraph,
     build_graph,
     degree_stats,
+    draw_out_edges,
     dump_graph,
     fixture_graph_fig1,
     load_graph,
@@ -79,8 +79,9 @@ __version__ = "0.1.0"
 
 # forward loads scipy.sparse; its names are imported on first use.
 _FORWARD = frozenset({
-    "OutbreakResult", "RhoEstimate", "attribute_infectors", "is_large_outbreak",
-    "replicate_records", "replicate_rho", "run_epidemic", "run_epidemic_lazy",
+    "OutbreakResult", "RhoEstimate", "aggregate_rho", "attribute_infectors",
+    "is_large_outbreak", "replicate_records", "replicate_rho", "run_epidemic",
+    "run_epidemic_lazy",
 })
 
 

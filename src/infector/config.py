@@ -39,7 +39,6 @@ __all__ = [
     "Violation",
     "validate_config",
     "mean_matrix",
-    "sample_contact_process",
     "eta_cdf",
     "load_config",
     "config_from_dict",
@@ -433,7 +432,7 @@ def validate_config(config: ModelConfig) -> list:
 
 
 # --------------------------------------------------------------------------
-# moments and sampling
+# moments
 # --------------------------------------------------------------------------
 
 def _mean_entries(config: ModelConfig) -> np.ndarray:
@@ -451,40 +450,16 @@ def mean_matrix(config: ModelConfig) -> np.ndarray:
     return m
 
 
-def sample_contact_process(rng: np.random.Generator, config: ModelConfig, type_i: int):
-    """Sample one realization of the typed contact process of a type-i vertex.
-
-    Returns a list of (age, target_type) pairs with 1-based target types,
-    sorted by age.  A single (latent, infectious) pair is drawn and shared
-    across all target types, matching the kernel definition.
-    """
-    kern = config.kernel
-    i0 = config.population.type_index(type_i)
-    p = config.population.proportions
-    lat = kern.latent[i0].sample(rng)
-    iota = kern.infectious[i0].sample(rng)
-    rates = kern.pair_rates()[i0]
-    out = []
-    for j0 in range(kern.k):
-        mean_count = p[j0] * rates[j0] * iota
-        if mean_count <= 0:
-            continue
-        count = rng.poisson(mean_count)
-        if count == 0:
-            continue
-        ages = lat + iota * np.sort(rng.random(count))
-        out.extend((float(a), j0 + 1) for a in ages)
-    out.sort()
-    return out
-
-
 def eta_cdf(config: ModelConfig, i: int, j: int, t: float) -> float:
     """CDF of the conditional edge-weight law for tail type i, head type j.
 
     Equals the expected number of (i -> j) contacts by age t divided by
-    the total expected number; independent of population size.
+    the total expected number; independent of population size.  The
+    ``ExtremalTwoType`` weights depend on n, so it has no such law.
     """
     kern = config.kernel
+    if isinstance(kern, ExtremalTwoType):
+        raise DomainError("eta is undefined for extremal_two_type: its edge weights depend on n")
     i0, j0 = config.population.type_index(i), config.population.type_index(j)
     m = _mean_entries(config)
     if m[i0, j0] <= 0:

@@ -5,13 +5,16 @@ set on the epidemic graph; the infector of a vertex is its shortest-path
 predecessor.  The eager engine, the default of ``replicate_records`` and
 ``replicate_rho``, materializes the graph and runs one shortest-path
 search.  The lazy engine (``method="lazy"``) samples contact lists only
-for vertices that actually become infected: the same law from different
-draws, with memory that grows with the number of infected.
+for vertices that actually become infected.  Both engines draw through
+``graph.draw_out_edges``; the lazy one draws its lists in pools per
+type: the same law from different draws, with memory that grows with
+the number of infected.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -20,9 +23,9 @@ import numpy as np
 
 from . import rng as rngmod
 from ._kernels import dijkstra
-from .config import ExtremalTwoType, ModelConfig
+from .config import ModelConfig
 from .errors import DomainError, NoDataError
-from .graph import EpidemicGraph, build_graph
+from .graph import EpidemicGraph, build_graph, draw_out_edges
 
 __all__ = [
     "OutbreakResult",
@@ -111,72 +114,72 @@ def run_epidemic(graph: EpidemicGraph, v_init) -> OutbreakResult:
     return _summarize(graph.population, dist, pred, v_init)
 
 
+# Contact lists the lazy engine draws per type at a time.
+_POOL = 1024
+
+
+def _contact_lists(config: ModelConfig, rng, i0: int) -> list:
+    """Fresh type-i0 contact lists, as (heads, weights) pairs of Python lists.
+
+    At most one per type-i0 vertex is drawn, since no vertex is exposed twice.
+    """
+    size = min(_POOL, int(config.population.counts[i0]))
+    tails, heads, weights = [], [], []
+    draw_out_edges(config, rng, i0, np.arange(size), tails, heads, weights)
+    if not tails:
+        return [((), ())] * size
+    # Each block is in slot order, so a stable sort groups the edges by slot.
+    tails = np.concatenate(tails)
+    order = np.argsort(tails, kind="stable")
+    ends = np.cumsum(np.bincount(tails, minlength=size)).tolist()
+    heads = np.concatenate(heads)[order].tolist()
+    weights = np.concatenate(weights)[order].tolist()
+    return [(heads[lo:hi], weights[lo:hi]) for lo, hi in zip([0] + ends, ends)]
+
+
 def run_epidemic_lazy(config: ModelConfig, rng: Optional[np.random.Generator] = None) -> OutbreakResult:
     """Event-driven epidemic: contact lists drawn only upon infection.
 
-    Distributionally identical to ``run_epidemic(build_graph(config))``;
-    memory is proportional to the number of infected vertices.
+    Distributionally identical to ``run_epidemic(build_graph(config))``:
+    the lists come from the same ``draw_out_edges``, drawn in pools of
+    ``_POOL`` per type, and each newly infected vertex takes the next
+    unused list of its type.  Memory is proportional to the number of
+    infected vertices.
     """
     if rng is None:
         rng = rngmod.stream(config.seed, "lazy")
     pop = config.population
-    kern = config.kernel
-    n, k = pop.n, pop.k
-    p = pop.proportions
-    rates = kern.pair_rates()
-    bounds = pop.boundaries
-    counts = pop.counts
-    extremal = isinstance(kern, ExtremalTwoType)
-    fast_pair = kern.fast_pair if extremal else None
+    n = pop.n
+    bounds = pop.boundaries.tolist()
+    pools = [[] for _ in range(pop.k)]
 
     sigma = np.full(n, np.inf)
     infector = np.full(n, -1, dtype=np.int64)
+    infected = bytearray(n)
     v_init = _seed_vertices(config.initial_infecteds, n)
 
     heap = []
 
     def expose(v: int, t: float) -> None:
-        i0 = int(pop.type_of(v))
-        lat = kern.latent[i0].sample(rng)
-        iota = kern.infectious[i0].sample(rng)
-        for j0 in range(k):
-            mean_count = p[j0] * rates[i0, j0] * iota
-            if mean_count <= 0:
-                continue
-            n_j = int(counts[j0])
-            m = min(int(rng.poisson(mean_count)), n_j)
-            if m == 0:
-                continue
-            if extremal:
-                if (i0 + 1, j0 + 1) == fast_pair:
-                    ws = rng.random(m) * n**-2.0
-                else:
-                    ws = n**-1.0 + rng.random(m) * n**-2.0
-            else:
-                ws = lat + iota * rng.random(m)
-            if m == 1:
-                hs = [int(rng.integers(bounds[j0], bounds[j0] + n_j))]
-            else:
-                seen = set()
-                hs = []
-                while len(hs) < m:
-                    cand = int(rng.integers(bounds[j0], bounds[j0] + n_j))
-                    if cand not in seen:
-                        seen.add(cand)
-                        hs.append(cand)
-            for w, h in zip(ws, hs):
-                if not np.isfinite(sigma[h]):
-                    heapq.heappush(heap, (t + float(w), v, h))
+        i0 = bisect_right(bounds, v) - 1
+        if not pools[i0]:
+            pools[i0] = _contact_lists(config, rng, i0)
+        heads, weights = pools[i0].pop()
+        for h, w in zip(heads, weights):
+            if not infected[h]:
+                heapq.heappush(heap, (t + w, v, h))
 
-    for s in v_init:
+    for s in v_init.tolist():
         sigma[s] = 0.0
-    for s in v_init:
-        expose(int(s), 0.0)
+        infected[s] = 1
+    for s in v_init.tolist():
+        expose(s, 0.0)
 
     while heap:
         t, u, v = heapq.heappop(heap)
-        if np.isfinite(sigma[v]):
+        if infected[v]:
             continue
+        infected[v] = 1
         sigma[v] = t
         infector[v] = u
         expose(v, t)

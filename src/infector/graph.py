@@ -4,7 +4,11 @@ A graph realization assigns to every vertex its typed contact list: the
 out-edges toward type j are the points of one contact-process draw
 (truncated at n_j), with head labels chosen uniformly without
 replacement from the type-j vertices and edge weights equal to the point
-ages.  Graphs are immutable after construction and stored in CSR form.
+ages.  ``draw_out_edges`` is the one place that draws this law: the
+build calls it once per type for all of that type's vertices, and the
+lazy forward engine calls it for pools of lists that it hands out as
+vertices become infected.  Graphs are immutable after construction and
+stored in CSR form.
 
 What a graph holds: the forward CSR in (tail, weight) order (int64 row
 pointers and heads, float64 weights: 8 B per vertex and 16 B per edge),
@@ -33,6 +37,7 @@ from .errors import ConfigError, NumericError
 __all__ = [
     "EpidemicGraph",
     "build_graph",
+    "draw_out_edges",
     "fixture_graph_fig1",
     "FIG1_LABELS",
     "degree_stats",
@@ -210,21 +215,31 @@ def build_graph(config: ModelConfig, rng: Optional[np.random.Generator] = None) 
     if rng is None:
         rng = rngmod.stream(config.seed, "graph")
     tails, heads, weights = [], [], []
-    for i0 in range(config.population.k):
-        _draw_out_edges(config, rng, i0, tails, heads, weights)
+    pop = config.population
+    for i0 in range(pop.k):
+        draw_out_edges(config, rng, i0, pop.vertices_of_type(i0), tails, heads, weights)
     # The joined arrays are passed on with no other reference, so _assemble
     # can free each one as soon as it is done with it.
-    return _assemble(config.population, _join(tails), _join(heads), _join(weights),
+    return _assemble(pop, _join(tails), _join(heads), _join(weights),
                      realized_seed=config.seed)
 
 
-def _draw_out_edges(config: ModelConfig, rng, i0: int, tail_blocks, head_blocks, weight_blocks):
-    """Append one (tails, heads, weights) block per head type for the type-i0 tails."""
+def draw_out_edges(config: ModelConfig, rng, i0: int, ids, tail_blocks, head_blocks,
+                   weight_blocks) -> None:
+    """Draw the contact lists of type-i0 tails and append their edges.
+
+    One contact list per entry of ``ids``, the tails' labels: only the
+    length of ``ids`` affects the draws, since a list depends on its
+    tail's type alone.  Appends one (tails, heads, weights) block per
+    head type that gets an edge; within a block the edges follow the
+    order of ``ids``.  Heads are distinct within a list and weights are
+    the contact ages, or the micro-interval weights of an
+    ``ExtremalTwoType`` kernel.
+    """
     pop = config.population
     kern = config.kernel
     rates = kern.pair_rates()
-    n_i = int(pop.counts[i0])
-    ids = pop.vertices_of_type(i0)
+    n_i = len(ids)
     lat = kern.latent[i0].sample(rng, size=n_i)
     iota = kern.infectious[i0].sample(rng, size=n_i)
     for j0 in range(pop.k):

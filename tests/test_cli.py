@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -104,12 +105,17 @@ def test_kernels_import_loads_csgraph():
     assert _child_stdout(code) == "True"
 
 
-@pytest.mark.parametrize("name", [
-    "OutbreakResult", "RhoEstimate", "attribute_infectors", "is_large_outbreak",
-    "replicate_records", "replicate_rho", "run_epidemic", "run_epidemic_lazy",
-])
+@pytest.mark.parametrize("name", forward.__all__)
 def test_package_serves_forward_names_lazily(name):
     assert getattr(infector, name) is getattr(forward, name)
+
+
+@pytest.mark.parametrize("module", ["analytic", "backward", "branching", "config", "graph",
+                                    "rng"])
+def test_package_serves_every_public_name(module):
+    mod = importlib.import_module(f"infector.{module}")
+    assert [name for name in mod.__all__
+            if getattr(infector, name, None) is not getattr(mod, name)] == []
 
 
 def test_package_unknown_attribute_raises():

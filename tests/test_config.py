@@ -20,12 +20,20 @@ from infector.config import (
     load_config,
     mean_matrix,
     resolve_initial,
-    sample_contact_process,
     validate_config,
 )
 from infector.errors import ConfigError, DomainError
+from infector.graph import draw_out_edges
 
-from conftest import marked_config, single_type_config, symmetric_marked_config
+from conftest import extremal_config, marked_config, single_type_config, symmetric_marked_config
+
+
+def _contact_lists(cfg, rng, size, i0=0):
+    """Edges of ``size`` type-(i0+1) contact lists: tail slots, 0-based head types, ages."""
+    tails, heads, weights = [], [], []
+    draw_out_edges(cfg, rng, i0, np.arange(size), tails, heads, weights)
+    join = lambda blocks: np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
+    return join(tails), cfg.population.type_of(join(heads)), join(weights)
 
 
 # --------------------------------------------------------------------------
@@ -235,10 +243,8 @@ def test_mean_matrix_seir_monte_carlo(rng):
     )
     cfg = ModelConfig(population=pop, kernel=kern, initial_infecteds=(0,))
     assert mean_matrix(cfg)[0, 1] == pytest.approx(0.6, abs=1e-12)
-    counts = np.array([
-        sum(1 for _, j in sample_contact_process(rng, cfg, 1) if j == 2)
-        for _ in range(200_000)
-    ])
+    tails, head_types, _ = _contact_lists(cfg, rng, 200_000)
+    counts = np.bincount(tails[head_types == 1], minlength=200_000)
     se = counts.std(ddof=1) / math.sqrt(len(counts))
     assert abs(counts.mean() - 0.6) < 3 * se
 
@@ -262,31 +268,23 @@ def test_mean_matrix_irreducibility_pattern():
 
 def test_sample_contact_process_zero_rate(rng):
     cfg = single_type_config(rate=0.0)
-    assert sample_contact_process(rng, cfg, 1) == []
+    tails, heads, weights = [], [], []
+    draw_out_edges(cfg, rng, 0, np.arange(1000), tails, heads, weights)
+    assert tails == heads == weights == []
 
 
 def test_sample_contact_process_mean_length(rng):
     cfg = single_type_config(rate=2.0)
-    lens = np.array([
-        len(sample_contact_process(rng, cfg, 1)) for _ in range(100_000)
-    ])
+    tails, _, _ = _contact_lists(cfg, rng, 100_000)
+    lens = np.bincount(tails, minlength=100_000)
     se = lens.std(ddof=1) / math.sqrt(len(lens))
     assert abs(lens.mean() - 2.0) < 3 * se
 
 
 def test_sample_contact_process_latent_support(rng):
     cfg = single_type_config(rate=3.0, latent=Duration.constant(1.0))
-    for _ in range(200):
-        sample = sample_contact_process(rng, cfg, 1)
-        for age, _ in sample:
-            assert age >= 1.0
-
-
-def test_sample_contact_process_sorted(rng):
-    cfg = symmetric_marked_config()
-    for _ in range(100):
-        ages = [a for a, _ in sample_contact_process(rng, cfg, 1)]
-        assert ages == sorted(ages)
+    _, _, ages = _contact_lists(cfg, rng, 200)
+    assert len(ages) > 0 and (ages >= 1.0).all()
 
 
 # --------------------------------------------------------------------------
@@ -321,14 +319,22 @@ def test_eta_cdf_matches_sampled_ages(rng):
         latent=Duration.exponential(2.0),
         infectious=Duration.gamma(2.0, 2.0),
     )
-    ages = []
-    for _ in range(20_000):
-        ages.extend(a for a, _ in sample_contact_process(rng, cfg, 1))
-    ages = np.array(ages)
+    _, _, ages = _contact_lists(cfg, rng, 20_000)
     for t in (0.5, 1.0, 2.0, 4.0):
         emp = (ages <= t).mean()
         se = math.sqrt(emp * (1 - emp) / len(ages))
         assert abs(eta_cdf(cfg, 1, 1, t) - emp) < 5 * se + 1e-3
+
+
+def test_eta_cdf_extremal_rejected(rng):
+    # the fast-pair weights lie in (0, n^-2), so at n = 1e4 their
+    # empirical CDF at 1e-8 is 1, not the base kernel's 1e-8
+    cfg = extremal_config(n=10_000)
+    _, head_types, ages = _contact_lists(cfg, rng, 1000)
+    fast = ages[head_types == 0]
+    assert len(fast) > 0 and (fast < 1e-8).all()
+    with pytest.raises(DomainError, match="extremal"):
+        eta_cdf(cfg, 1, 1, 1e-8)
 
 
 def test_eta_cdf_zero_mean_rejected():

@@ -257,8 +257,9 @@ def test_replicates_deterministic_and_thread_invariant():
     assert np.array_equal(a.mean, c.mean)
 
 
-def test_extremal_attains_upper_bound():
+@pytest.mark.parametrize("method", ["eager", "lazy"])
+def test_extremal_attains_upper_bound(method):
     cfg = extremal_config(n=4000, m_tilde=2.0, fast_pair=(1, 1), seed=61)
-    est = replicate_rho(cfg, 40)
+    est = replicate_rho(cfg, 40, method=method)
     _, hi = theorem2_bounds(0.5, 2.0, 2.0)
     assert abs(est.mean[0, 0] - hi) < 0.04

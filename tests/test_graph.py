@@ -15,6 +15,7 @@ from infector.graph import (
     _draw_heads_without_replacement,
     build_graph,
     degree_stats,
+    draw_out_edges,
     dump_graph,
     fixture_graph_fig1,
     load_graph,
@@ -190,6 +191,20 @@ def test_transpose_int32_and_one_restricted_view():
     other = g.reverse_matrix((1, 1))
     assert dead() is None  # the (0, 0) view was freed for the (1, 1) one
     assert g.reverse_matrix((1, 1)) is other
+
+
+def test_draw_out_edges_ids_only_label_tails():
+    # the draws depend on the number of tails, not on their labels
+    cfg = readme_config(2000)
+    ids = np.arange(300)
+    a, b = ([], [], []), ([], [], [])
+    draw_out_edges(cfg, np.random.default_rng(3), 1, ids, *a)
+    draw_out_edges(cfg, np.random.default_rng(3), 1, ids + 1000, *b)
+    assert len(a[0]) == 2  # one block per head type
+    for tail_a, tail_b in zip(a[0], b[0]):
+        assert np.array_equal(tail_a + 1000, tail_b)
+    for blocks_a, blocks_b in zip(a[1:], b[1:]):
+        assert all(np.array_equal(x, y) for x, y in zip(blocks_a, blocks_b))
 
 
 def test_head_draws_pinned():
