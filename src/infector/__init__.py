@@ -40,6 +40,7 @@ from .branching import (
     survival_probability,
 )
 from .config import (
+    ContactAgeLaw,
     Duration,
     ExtremalTwoType,
     MarkedSingleProcess,

@@ -178,16 +178,16 @@ def borel_log_pmf(m: float, ell) -> np.ndarray:
     return lead - m * lf - gammaln(lf + 1.0)
 
 
-def borel_pmf(m: float, ell, allow_defective: bool = False):
+def borel_pmf(m: float, ell):
     """P(Y = ell) = (m ell)^(ell-1) exp(-m ell) / ell!, computed in log space.
 
-    For m > 1 the law is defective (total mass < 1); this requires
-    ``allow_defective=True``.
+    Raises DomainError for m < 0, and for m > 1, where the law is
+    defective (total mass < 1).
     """
     if m < 0:
         raise DomainError("Borel parameter must be >= 0")
-    if m > 1 and not allow_defective:
-        raise DomainError("Borel pmf is defective for m > 1; pass allow_defective=True")
+    if m > 1:
+        raise DomainError("Borel pmf is defective for m > 1")
     scalar = np.isscalar(ell)
     out = np.exp(borel_log_pmf(m, ell))
     return float(out) if scalar else out
@@ -271,7 +271,14 @@ def _rho1_bounds(p1, m1_tilde, m2_tilde, q, qt1, qt2, as_printed=False) -> tuple
 
 
 def theorem2_bounds(p1: float, m1_tilde: float, m2_tilde: float, as_printed: bool = False):
-    """Bounds (rho1_minus, rho1_plus) on the type-1 attribution fraction.
+    """Bounds (rho1_minus, rho1_plus) on the type-1 attribution fractions.
+
+    ``rho1_plus`` bounds rho_11 from above, and ``rho1_minus = 1 -
+    rho2_plus`` bounds rho_12 = 1 - rho_22 from below.  Inside the marked
+    class, where every column of rho is the same, both cells lie in
+    [rho1_minus, rho1_plus]; outside it they need not (at p1 = 0.5 and
+    m1 = m2 = 2 with the (1, 1) contact ages 10x longer, rho_11 = 0.3724
+    < rho1_minus = 0.3984).
 
     Default is the derivation-consistent form
     ``rho1+ = 1 - (1 - p1 m1 (qt1 + q) / 2) (qt1 - q) / (1 - q)``;

@@ -2,8 +2,9 @@
 martingale-limit estimates, and the Monte Carlo attribution formula.
 
 Particles of type j bear type-i children at ages drawn from the
-normalized contact-age law of type i, with Poisson((p_i/p_j) m_ij)
-counts; particles never die.  The Malthusian parameter makes the
+kernel's contact-age law of type i, with Poisson((p_i/p_j) m_ij)
+counts; particles never die.  A kernel without that law, the extremal
+one, is refused before any draw.  The Malthusian parameter makes the
 Laplace-transformed backward mean matrix critical, and e^(-alpha t)
 times the population converges to the martingale limit W.
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .analytic import extinction_probs, r0
-from .config import ExtremalTwoType, ModelConfig, mean_matrix
+from .config import ModelConfig, mean_matrix
 from .errors import CapExceededError, DomainError, NoDataError, NumericError
 
 __all__ = [
@@ -67,13 +68,6 @@ def backward_mean_matrix(config: ModelConfig) -> np.ndarray:
     return (p[None, :] / p[:, None]) * m.T
 
 
-def _refuse_extremal(config: ModelConfig) -> None:
-    """The extremal kernel's edge weights do not follow its base kernel's ages."""
-    if isinstance(config.kernel, ExtremalTwoType):
-        raise DomainError("extremal_two_type has no backward branching process: "
-                          "its edge weights do not follow the base kernel's contact ages")
-
-
 def laplace_mean_matrix(config: ModelConfig, x: float) -> np.ndarray:
     """Laplace transform of the backward mean offspring measure at x >= 0.
 
@@ -81,16 +75,12 @@ def laplace_mean_matrix(config: ModelConfig, x: float) -> np.ndarray:
     contact measure of type i toward type j; at x = 0 this is the
     backward mean matrix.  Closed form for the whole duration menu.
     """
-    _refuse_extremal(config)
+    kern = config.kernel
+    laws = [kern.contact_age(i0) for i0 in range(config.k)]
     if x < 0:
         raise DomainError("Laplace argument must be >= 0")
-    kern = config.kernel
     p = config.population.proportions
-    if x == 0.0:
-        phi = np.array([iota.mean() for iota in kern.infectious])
-    else:
-        phi = np.array([lat.laplace(x) * (1.0 - iota.laplace(x)) / x
-                        for lat, iota in zip(kern.latent, kern.infectious)])
+    phi = np.array([law.window_laplace(x) for law in laws])
     return (p[:, None] * kern.pair_rates() * phi[:, None]).T
 
 
@@ -146,18 +136,6 @@ def solve_malthusian(config: ModelConfig) -> MalthusianSolution:
 # simulation
 # --------------------------------------------------------------------------
 
-def _age_draws(rng, kern, child_type0: int, size: int):
-    """(biased, lat): size-biased infectious and latent periods of ``size`` children.
-
-    An age from the normalized mean contact measure is lat + u * biased,
-    u uniform and drawn after both; exact for constants, exponentials and
-    gammas.  ``lat`` is a scalar for a constant latent period.
-    """
-    latent = kern.latent[child_type0]
-    lat = latent.value if latent.kind == "constant" else latent.sample(rng, size=size)
-    return kern.infectious[child_type0].sample_size_biased(rng, size=size), lat
-
-
 def _simulate_batch(config: ModelConfig, root_types0: np.ndarray, horizon: float,
                     cap: int, rng: np.random.Generator, stop_on_cap: bool = False):
     """Simulate independent backward runs generation by generation.
@@ -169,8 +147,7 @@ def _simulate_batch(config: ModelConfig, root_types0: np.ndarray, horizon: float
     A generation is a list of (type, run ids, birth times) blocks: one
     per stretch of equal root types, then one per child type.
     """
-    _refuse_extremal(config)
-    kern = config.kernel
+    laws = [config.kernel.contact_age(i0) for i0 in range(config.k)]
     mb = backward_mean_matrix(config)
     if mb.max() > 2**30:  # Poisson counts then stay far below 2**31: int32 holds them
         raise NumericError(f"backward offspring mean {mb.max():.3g} exceeds 2**30")
@@ -190,7 +167,7 @@ def _simulate_batch(config: ModelConfig, root_types0: np.ndarray, horizon: float
             total = sum(int(c.sum()) for c in counts)
             if total == 0:
                 continue
-            biased, lat = _age_draws(rng, kern, i0, total)
+            biased, lat = laws[i0].draw(rng, total)
             runs, births, at = [], [], 0
             for (_, run, times), c in zip(gen, counts):
                 for p in range(0, len(c), _SLICE):
@@ -337,7 +314,6 @@ def estimate_rho_bp(config: ModelConfig, j: int, R: int, horizon: Optional[float
     if rng is None:
         rng = rngmod.stream(config.seed, "bp-estimate", j)
     mb = backward_mean_matrix(config)
-    kern = config.kernel
     surv = survival_probability(config, j)
 
     # first generation: counts per replicate and type
@@ -352,7 +328,7 @@ def estimate_rho_bp(config: ModelConfig, j: int, R: int, horizon: Optional[float
         n_sel = int(sel.sum())
         if n_sel == 0:
             continue
-        biased, lat = _age_draws(rng, kern, i0, n_sel)
+        biased, lat = config.kernel.contact_age(i0).draw(rng, n_sel)
         tau[sel] = biased * rng.random(n_sel) + lat
 
     w = _w_values(config, type_of, horizon, alpha, cap, rng)

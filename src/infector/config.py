@@ -2,7 +2,10 @@
 
 A scenario is a population split into K types plus a contact kernel
 describing how an infected individual of type i generates typed, timed
-contacts.  Three kernel variants are supported:
+contacts.  Each kernel owns both of its laws: forward, the window
+``contact_window`` in which a tail's contacts toward a head type fall
+uniformly; backward, the contact-age law ``contact_age`` of a type.
+Three kernel variants are supported:
 
 * ``MarkovSEIR`` -- per-type latent/infectious periods and a K x K
   contact-rate matrix; the rate toward a *given* individual of type j is
@@ -12,7 +15,8 @@ contacts.  Three kernel variants are supported:
   probability ``proportions[j]``.
 * ``ExtremalTwoType`` -- a two-type marked process whose realized edge
   weights are replaced by micro-interval uniforms so that one ordered
-  type pair always wins the shortest-path race.
+  type pair always wins the shortest-path race.  Its weights depend on
+  n, so it refuses the backward law.
 
 Type indices in the public API are 1-based (1..K); vertex ids are
 0-based.  All configuration objects are immutable after construction.
@@ -35,6 +39,7 @@ __all__ = [
     "MarkovSEIR",
     "MarkedSingleProcess",
     "ExtremalTwoType",
+    "ContactAgeLaw",
     "ModelConfig",
     "Violation",
     "validate_config",
@@ -214,52 +219,93 @@ class PopulationSpec:
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class MarkovSEIR:
-    """Per-type latent/infectious periods and a K x K contact-rate matrix."""
+class ContactAgeLaw:
+    """Backward contact-age law of one type: L + U * I* for latent period L,
+    size-biased infectious period I* and U uniform on (0, 1)."""
+
+    latent: Duration
+    infectious: Duration
+
+    def cdf(self, t: float) -> float:
+        """E[length of (L, L + I) intersected with (0, t)] / E[I]."""
+        if t <= 0:
+            return 0.0
+        lat, iota, t = self.latent, self.infectious, float(t)
+        if lat.kind == "constant":
+            return iota.mean_min(t - lat.value) / iota.mean()
+        from scipy import integrate  # only user; keeps it out of the CLI's import time
+
+        val, _ = integrate.quad(lambda l: lat.pdf(l) * iota.mean_min(t - l), 0.0, t, limit=200)
+        return float(val) / iota.mean()
+
+    def window_laplace(self, x: float) -> float:
+        """Integral of e^(-x t) P(L < t < L + I) dt: E[I] at x = 0, unnormalized."""
+        if x == 0.0:
+            return self.infectious.mean()
+        return self.latent.laplace(x) * (1.0 - self.infectious.laplace(x)) / x
+
+    def draw(self, rng: np.random.Generator, size: int):
+        """(biased, lat) of ``size`` ages lat + u * biased, drawn lat first, u after both.
+
+        ``lat`` is a scalar for a constant latent period."""
+        latent = self.latent
+        lat = latent.value if latent.kind == "constant" else latent.sample(rng, size=size)
+        return self.infectious.sample_size_biased(rng, size=size), lat
+
+
+@dataclass(frozen=True)
+class _PeriodKernel:
+    """Per-type periods: a tail's contacts fall uniformly in its window (L, L + I)."""
 
     latent: tuple
     infectious: tuple
-    contact_rates: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "latent", tuple(self.latent))
         object.__setattr__(self, "infectious", tuple(self.infectious))
-        object.__setattr__(self, "contact_rates", np.asarray(self.contact_rates, dtype=float))
-        k = len(self.latent)
-        if self.contact_rates.shape != (k, k) or len(self.infectious) != k:
-            raise ConfigError("contact_rates must be K x K matching the period menus")
 
     @property
     def k(self) -> int:
         return len(self.latent)
+
+    def contact_window(self, n: int, i0: int, j0: int, lat, iota) -> tuple:
+        """(start, length) per tail, from its drawn periods, of its type-j0 contacts' window."""
+        return lat, iota
+
+    def contact_age(self, i0: int) -> ContactAgeLaw:
+        return ContactAgeLaw(self.latent[i0], self.infectious[i0])
+
+
+@dataclass(frozen=True)
+class MarkovSEIR(_PeriodKernel):
+    """Per-type latent/infectious periods and a K x K contact-rate matrix."""
+
+    contact_rates: np.ndarray
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "contact_rates", np.asarray(self.contact_rates, dtype=float))
+        if self.contact_rates.shape != (self.k, self.k) or len(self.infectious) != self.k:
+            raise ConfigError("contact_rates must be K x K matching the period menus")
 
     def pair_rates(self) -> np.ndarray:
         return self.contact_rates
 
 
 @dataclass(frozen=True)
-class MarkedSingleProcess:
+class MarkedSingleProcess(_PeriodKernel):
     """One contact process per type, marks assigned i.i.d. by proportion."""
 
-    latent: tuple
-    infectious: tuple
     total_rates: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "latent", tuple(self.latent))
-        object.__setattr__(self, "infectious", tuple(self.infectious))
+        super().__post_init__()
         object.__setattr__(self, "total_rates", np.asarray(self.total_rates, dtype=float))
-        k = len(self.latent)
-        if self.total_rates.shape != (k,) or len(self.infectious) != k:
+        if self.total_rates.shape != (self.k,) or len(self.infectious) != self.k:
             raise ConfigError("total_rates must have one entry per type")
 
-    @property
-    def k(self) -> int:
-        return len(self.latent)
-
     def pair_rates(self) -> np.ndarray:
-        k = self.k
-        return np.repeat(self.total_rates.reshape(k, 1), k, axis=1)
+        return np.repeat(self.total_rates.reshape(self.k, 1), self.k, axis=1)
 
 
 @dataclass(frozen=True)
@@ -270,7 +316,7 @@ class ExtremalTwoType:
     1-based, are uniform on (0, n^-2); all other weights are uniform on
     (n^-1, n^-1 + n^-2).  Any path of short edges is then shorter than a
     single long edge, so shortest paths prefer the fast pair whenever a
-    route through it exists.
+    route through it exists.  Contact counts follow the base kernel.
     """
 
     base: MarkedSingleProcess
@@ -298,6 +344,14 @@ class ExtremalTwoType:
 
     def pair_rates(self) -> np.ndarray:
         return self.base.pair_rates()
+
+    def contact_window(self, n: int, i0: int, j0: int, lat, iota) -> tuple:
+        start = 0.0 if (i0 + 1, j0 + 1) == self.fast_pair else n**-1.0
+        return np.full(len(lat), start), np.full(len(lat), n**-2.0)
+
+    def contact_age(self, i0: int):
+        raise DomainError("extremal_two_type has no backward contact-age law: "
+                          "its edge weights depend on n, not on the base kernel's contact ages")
 
 
 Kernel = Union[MarkovSEIR, MarkedSingleProcess, ExtremalTwoType]
@@ -454,69 +508,46 @@ def eta_cdf(config: ModelConfig, i: int, j: int, t: float) -> float:
     """CDF of the conditional edge-weight law for tail type i, head type j.
 
     Equals the expected number of (i -> j) contacts by age t divided by
-    the total expected number; independent of population size.  The
-    ``ExtremalTwoType`` weights depend on n, so it has no such law.
+    the total expected number: the tail's contact-age law, independent
+    of population size.  The ``ExtremalTwoType`` kernel has none.
     """
-    kern = config.kernel
-    if isinstance(kern, ExtremalTwoType):
-        raise DomainError("eta is undefined for extremal_two_type: its edge weights depend on n")
     i0, j0 = config.population.type_index(i), config.population.type_index(j)
-    m = _mean_entries(config)
-    if m[i0, j0] <= 0:
+    law = config.kernel.contact_age(i0)
+    if _mean_entries(config)[i0, j0] <= 0:
         raise DomainError(f"eta_{i}{j} is undefined: m_{i}{j} = 0")
-    if t <= 0:
-        return 0.0
-    lat, iota = kern.latent[i0], kern.infectious[i0]
-    return _coverage(lat, iota, float(t)) / iota.mean()
-
-
-def _coverage(lat: Duration, iota: Duration, t: float) -> float:
-    """E[length of (L, L + I) intersected with (0, t)] = E_L[E[min(I, (t-L)+)]]."""
-    if lat.kind == "constant":
-        return iota.mean_min(t - lat.value)
-    from scipy import integrate  # only user; keeps it out of the CLI's import time
-
-    val, _ = integrate.quad(lambda l: lat.pdf(l) * iota.mean_min(t - l), 0.0, t, limit=200)
-    return float(val)
+    return law.cdf(t)
 
 
 # --------------------------------------------------------------------------
 # JSON interface
 # --------------------------------------------------------------------------
 
+# The parameters of each duration kind, in their JSON order.
+_DURATION_PARAMS = {"constant": ("value",), "exponential": ("rate",), "gamma": ("shape", "rate")}
+
+
 def _duration_from_dict(d) -> Duration:
     kind = d["kind"]
-    if kind == "constant":
-        return Duration.constant(d["value"])
-    if kind == "exponential":
-        return Duration.exponential(d["rate"])
-    if kind == "gamma":
-        return Duration.gamma(d["shape"], d["rate"])
-    raise ConfigError(f"unknown duration kind {kind!r}")
+    if kind not in _DURATION_PARAMS:
+        raise ConfigError(f"unknown duration kind {kind!r}")
+    return Duration(kind, **{name: float(d[name]) for name in _DURATION_PARAMS[kind]})
 
 
 def _duration_to_dict(d: Duration):
-    if d.kind == "constant":
-        return {"kind": "constant", "value": d.value}
-    if d.kind == "exponential":
-        return {"kind": "exponential", "rate": d.rate}
-    return {"kind": "gamma", "shape": d.shape, "rate": d.rate}
+    return {"kind": d.kind, **{name: getattr(d, name) for name in _DURATION_PARAMS[d.kind]}}
+
+
+# The kernels with per-type periods: variant name -> (class, its rate field).
+_PERIOD_VARIANTS = {"markov_seir": (MarkovSEIR, "contact_rates"),
+                    "marked_single": (MarkedSingleProcess, "total_rates")}
 
 
 def _kernel_from_dict(d) -> Kernel:
     variant = d["variant"]
-    if variant == "markov_seir":
-        return MarkovSEIR(
-            latent=[_duration_from_dict(x) for x in d["latent"]],
-            infectious=[_duration_from_dict(x) for x in d["infectious"]],
-            contact_rates=d["contact_rates"],
-        )
-    if variant == "marked_single":
-        return MarkedSingleProcess(
-            latent=[_duration_from_dict(x) for x in d["latent"]],
-            infectious=[_duration_from_dict(x) for x in d["infectious"]],
-            total_rates=d["total_rates"],
-        )
+    if variant in _PERIOD_VARIANTS:
+        cls, rates = _PERIOD_VARIANTS[variant]
+        return cls([_duration_from_dict(x) for x in d["latent"]],
+                   [_duration_from_dict(x) for x in d["infectious"]], d[rates])
     if variant == "extremal_two_type":
         base = _kernel_from_dict(d["base"])
         if not isinstance(base, MarkedSingleProcess):
@@ -526,24 +557,15 @@ def _kernel_from_dict(d) -> Kernel:
 
 
 def _kernel_to_dict(kern: Kernel):
-    if isinstance(kern, MarkovSEIR):
-        return {
-            "variant": "markov_seir",
-            "latent": [_duration_to_dict(x) for x in kern.latent],
-            "infectious": [_duration_to_dict(x) for x in kern.infectious],
-            "contact_rates": kern.contact_rates.tolist(),
-        }
-    if isinstance(kern, MarkedSingleProcess):
-        return {
-            "variant": "marked_single",
-            "latent": [_duration_to_dict(x) for x in kern.latent],
-            "infectious": [_duration_to_dict(x) for x in kern.infectious],
-            "total_rates": kern.total_rates.tolist(),
-        }
+    if isinstance(kern, ExtremalTwoType):
+        return {"variant": "extremal_two_type", "base": _kernel_to_dict(kern.base),
+                "fast_pair": list(kern.fast_pair)}
+    variant, rates = next((v, r) for v, (cls, r) in _PERIOD_VARIANTS.items() if type(kern) is cls)
     return {
-        "variant": "extremal_two_type",
-        "base": _kernel_to_dict(kern.base),
-        "fast_pair": list(kern.fast_pair),
+        "variant": variant,
+        "latent": [_duration_to_dict(x) for x in kern.latent],
+        "infectious": [_duration_to_dict(x) for x in kern.infectious],
+        rates: getattr(kern, rates).tolist(),
     }
 
 

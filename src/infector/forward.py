@@ -237,6 +237,8 @@ def replicate_records(config: ModelConfig, R: int, threshold: float = 0.05,
         raise DomainError("need at least one replicate")
     if threads < 1:
         raise DomainError(f"threads must be >= 1, got {threads}")
+    if not 0 < threshold < 1:  # also rejects NaN
+        raise DomainError(f"threshold must lie in (0, 1), got {threshold}")
     if master_seed is None:
         master_seed = config.seed
     if threads > 1:

@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from . import rng as rngmod
-from .config import ExtremalTwoType, ModelConfig, PopulationSpec
+from .config import ModelConfig, PopulationSpec
 from .errors import ConfigError, NumericError
 
 __all__ = [
@@ -233,8 +233,7 @@ def draw_out_edges(config: ModelConfig, rng, i0: int, ids, tail_blocks, head_blo
     tail's type alone.  Appends one (tails, heads, weights) block per
     head type that gets an edge; within a block the edges follow the
     order of ``ids``.  Heads are distinct within a list and weights are
-    the contact ages, or the micro-interval weights of an
-    ``ExtremalTwoType`` kernel.
+    uniform in the kernel's ``contact_window`` of the pair.
     """
     pop = config.population
     kern = config.kernel
@@ -252,14 +251,12 @@ def draw_out_edges(config: ModelConfig, rng, i0: int, ids, tail_blocks, head_blo
         if total == 0:
             continue
         tail_blocks.append(np.repeat(ids, counts))
-        if isinstance(kern, ExtremalTwoType):
-            weight_blocks.append(_extremal_weights(rng, pop.n, (i0, j0), kern.fast_pair, total))
-        else:
-            # lat + iota * u, computed in place on the uniform draws
-            weights = rng.random(total)
-            weights *= np.repeat(iota, counts)
-            weights += np.repeat(lat, counts)
-            weight_blocks.append(weights)
+        start, length = kern.contact_window(pop.n, i0, j0, lat, iota)
+        # start + length * u, computed in place on the uniform draws
+        weights = rng.random(total)
+        weights *= np.repeat(length, counts)
+        weights += np.repeat(start, counts)
+        weight_blocks.append(weights)
         head_blocks.append(
             _draw_heads_without_replacement(rng, int(pop.boundaries[j0]), n_j, counts))
 
@@ -269,13 +266,6 @@ def _join(blocks: list) -> np.ndarray:
     joined = np.concatenate(blocks) if blocks else np.empty(0)
     blocks.clear()
     return joined
-
-
-def _extremal_weights(rng, n: int, pair0, fast_pair, size: int) -> np.ndarray:
-    """Micro-interval weights: fast pair in (0, n^-2), others in (n^-1, n^-1 + n^-2)."""
-    short = (pair0[0] + 1, pair0[1] + 1) == tuple(fast_pair)
-    u = rng.random(size) * n**-2.0
-    return u if short else n**-1.0 + u
 
 
 # --------------------------------------------------------------------------

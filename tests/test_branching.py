@@ -25,6 +25,7 @@ from infector.config import (
     MarkovSEIR,
     ModelConfig,
     PopulationSpec,
+    eta_cdf,
     mean_matrix,
 )
 from infector.errors import CapExceededError, DomainError, NumericError
@@ -80,6 +81,41 @@ def test_laplace_monotone_vanishes():
         assert cur < prev or x == 0.0
         prev = cur
     assert laplace_mean_matrix(cfg, 1e6).max() < 1e-4
+
+
+def _gamma_latent_marked_config(n=1000):
+    pop = PopulationSpec(n=n, counts=[n // 2, n - n // 2], proportions=[0.5, 0.5])
+    kern = MarkedSingleProcess(
+        latent=[Duration.gamma(2.0, 3.0), Duration.gamma(3.0, 2.0)],
+        infectious=[Duration.gamma(1.5, 0.8), Duration.exponential(1.5)],
+        total_rates=[2.0, 3.0],
+    )
+    return ModelConfig(population=pop, kernel=kern, initial_infecteds=(0,))
+
+
+@pytest.mark.parametrize("make_cfg, i0, seed", [
+    (lambda: readme_config(1000), 0, 71),
+    (lambda: readme_config(1000), 1, 72),
+    (_gamma_latent_marked_config, 0, 73),
+    (_gamma_latent_marked_config, 1, 74),
+], ids=["readme-1", "readme-2", "gamma-latent-1", "gamma-latent-2"])
+def test_contact_age_draw_matches_its_cdf_and_laplace(make_cfg, i0, seed):
+    # the simulator's sampler, eta_cdf and the Laplace matrix are three
+    # views of one law: 2e5 sampled ages against the other two, at 5 sigma
+    cfg = make_cfg()
+    rng = np.random.default_rng(seed)
+    size = 200_000
+    biased, lat = cfg.kernel.contact_age(i0).draw(rng, size)
+    ages = lat + rng.random(size) * biased
+    for t in (0.25, 0.5, 1.0, 2.0, 4.0):
+        f = eta_cdf(cfg, i0 + 1, 1, t)
+        sigma = math.sqrt(f * (1.0 - f) / size)
+        assert abs((ages <= t).mean() - f) < 5 * sigma, t
+    mb = backward_mean_matrix(cfg)
+    for x in (0.5, 2.0):
+        disc = np.exp(-x * ages)
+        target = laplace_mean_matrix(cfg, x)[0, i0] / mb[0, i0]
+        assert abs(disc.mean() - target) < 5 * disc.std(ddof=1) / math.sqrt(size), x
 
 
 def test_laplace_negative_argument():

@@ -292,6 +292,24 @@ def test_threads_below_one_is_usage_error(tmp_path, capsys, command, threads):
     assert [p.name for p in (tmp_path / "o").iterdir()] == []
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("threshold", ["1.5", "nan", "0"])
+def test_bad_threshold_is_usage_error_before_any_graph(tmp_path, capsys, monkeypatch,
+                                                        command, threshold):
+    # once replicate 0 built its graph and ran its search before the refusal
+    def no_build(*args, **kwargs):
+        raise AssertionError("a graph was built before --threshold was checked")
+
+    monkeypatch.setattr(forward, "build_graph", no_build)
+    cfg = _write_config(tmp_path, symmetric_marked_config(n=400, seed=5))
+    rc = main([command, "--config", cfg, "--replicates", "3", "--threshold", threshold,
+               "--output-dir", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and "threshold" in err
+    assert [p.name for p in (tmp_path / "o").iterdir()] == []
+
+
 def test_overwrite_refused_without_force(tmp_path):
     cfg = _write_config(tmp_path, single_type_config(n=300, rate=2.0, seed=7))
     args = ["simulate", "--config", cfg, "--replicates", "3",
