@@ -5,76 +5,14 @@ Carlo, and analytic fixed-point bounds for the fractions of infections
 attributable to each infector type.
 """
 
-from .analytic import (
-    AnalyticReport,
-    FixedPointResult,
-    analytic_report,
-    borel_conditional_pmf,
-    borel_mean_inverse,
-    borel_pmf,
-    extinction_probs,
-    fixed_point_q,
-    fixed_point_qtilde,
-    is_irreducible,
-    r0,
-    rho21_min,
-    theorem2_bounds,
-    tv_binomial_poisson,
-)
-from .backward import (
-    RestrictedSetSize,
-    SusceptibilitySnapshot,
-    default_t_star,
-    explore_susceptibility,
-    restricted_susceptibility_size,
-    susceptibility_counts,
-)
-from .branching import (
-    MalthusianSolution,
-    backward_mean_matrix,
-    estimate_W,
-    estimate_rho_bp,
-    extinction_frequency,
-    laplace_mean_matrix,
-    solve_malthusian,
-    survival_probability,
-)
-from .config import (
-    ContactAgeLaw,
-    Duration,
-    ExtremalTwoType,
-    MarkedSingleProcess,
-    MarkovSEIR,
-    ModelConfig,
-    PopulationSpec,
-    Violation,
-    config_from_dict,
-    config_to_dict,
-    eta_cdf,
-    load_config,
-    mean_matrix,
-    validate_config,
-)
-from .errors import (
-    CapExceededError,
-    ConfigError,
-    DomainError,
-    InfectorError,
-    NoDataError,
-    NumericError,
-    OutOfHorizonError,
-)
-from .graph import (
-    FIG1_LABELS,
-    EpidemicGraph,
-    build_graph,
-    degree_stats,
-    draw_out_edges,
-    dump_graph,
-    fixture_graph_fig1,
-    load_graph,
-)
-from .rng import derive_key, stream
+# The package serves each module's __all__.
+from .analytic import *
+from .backward import *
+from .branching import *
+from .config import *
+from .errors import *
+from .graph import *
+from .rng import *
 
 __version__ = "0.1.0"
 

@@ -77,8 +77,8 @@ def laplace_mean_matrix(config: ModelConfig, x: float) -> np.ndarray:
     """
     kern = config.kernel
     laws = [kern.contact_age(i0) for i0 in range(config.k)]
-    if x < 0:
-        raise DomainError("Laplace argument must be >= 0")
+    if not x >= 0:  # also rejects NaN
+        raise DomainError(f"Laplace argument must be >= 0, got {x}")
     p = config.population.proportions
     phi = np.array([law.window_laplace(x) for law in laws])
     return (p[:, None] * kern.pair_rates() * phi[:, None]).T

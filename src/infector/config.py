@@ -55,9 +55,17 @@ __all__ = [
 # duration menu
 # --------------------------------------------------------------------------
 
+# The parameters of each duration kind, in their JSON order.
+_DURATION_PARAMS = {"constant": ("value",), "exponential": ("rate",), "gamma": ("shape", "rate")}
+
+
 @dataclass(frozen=True)
 class Duration:
-    """A nonnegative duration distribution: constant, exponential or gamma."""
+    """A nonnegative duration distribution: constant or gamma.
+
+    An exponential period is the gamma law with shape 1: it stores
+    ``shape = 1.0`` and keeps its kind, and JSON form, ``"exponential"``.
+    """
 
     kind: str  # "constant" | "exponential" | "gamma"
     value: float = 0.0  # constant value
@@ -77,38 +85,32 @@ class Duration:
         return Duration("gamma", shape=float(shape), rate=float(rate))
 
     def __post_init__(self):
-        if self.kind not in ("constant", "exponential", "gamma"):
+        if self.kind not in _DURATION_PARAMS:
             raise ConfigError(f"unknown duration kind {self.kind!r}")
-        if self.kind == "constant" and not (self.value >= 0 and np.isfinite(self.value)):
-            raise ConfigError("constant duration must be finite and >= 0")
-        if self.kind == "exponential" and not (self.rate > 0 and np.isfinite(self.rate)):
-            raise ConfigError("exponential rate must be finite and > 0")
-        if self.kind == "gamma" and not (
-            self.rate > 0 and self.shape > 0 and np.isfinite(self.rate) and np.isfinite(self.shape)
-        ):
-            raise ConfigError("gamma shape and rate must be finite and > 0")
+        if self.kind == "exponential":
+            object.__setattr__(self, "shape", 1.0)
+        if self.kind == "constant":
+            if not (self.value >= 0 and np.isfinite(self.value)):
+                raise ConfigError("constant duration must be finite and >= 0")
+        elif not (self.rate > 0 and self.shape > 0 and np.isfinite(self.rate)
+                  and np.isfinite(self.shape)):
+            raise ConfigError(f"{self.kind} shape and rate must be finite and > 0")
 
     def mean(self) -> float:
         if self.kind == "constant":
             return self.value
-        if self.kind == "exponential":
-            return 1.0 / self.rate
         return self.shape / self.rate
 
     def laplace(self, x: float) -> float:
         """E[exp(-x T)] for x >= 0."""
         if self.kind == "constant":
             return float(np.exp(-x * self.value))
-        if self.kind == "exponential":
-            return self.rate / (self.rate + x)
         return float((self.rate / (self.rate + x)) ** self.shape)
 
     def cdf(self, t):
         t = np.asarray(t, dtype=float)
         if self.kind == "constant":
             return (t >= self.value).astype(float)
-        if self.kind == "exponential":
-            return np.where(t > 0, -np.expm1(-self.rate * np.maximum(t, 0.0)), 0.0)
         return self._gamma_cdf(self.shape, t)
 
     def _gamma_cdf(self, shape, t):
@@ -121,8 +123,6 @@ class Duration:
         if self.kind == "constant":
             raise DomainError("constant duration has no density")
         t = np.asarray(t, dtype=float)
-        if self.kind == "exponential":
-            return np.where(t >= 0, self.rate * np.exp(-self.rate * np.maximum(t, 0.0)), 0.0)
         from scipy.special import gammaln, xlogy
 
         scale = 1.0 / self.rate
@@ -138,8 +138,6 @@ class Duration:
             return 0.0
         if self.kind == "constant":
             return min(self.value, u)
-        if self.kind == "exponential":
-            return float(-np.expm1(-self.rate * u) / self.rate)
         # E[min(X,u)] = u(1-F(u)) + (shape/rate) F_{shape+1}(u)
         tail = 1.0 - self._gamma_cdf(self.shape, u)
         body = (self.shape / self.rate) * self._gamma_cdf(self.shape + 1, u)
@@ -148,21 +146,16 @@ class Duration:
     def sample(self, rng: np.random.Generator, size=None):
         if self.kind == "constant":
             return np.full(size, self.value) if size is not None else self.value
-        if self.kind == "exponential":
-            return rng.exponential(1.0 / self.rate, size=size)
         return rng.gamma(self.shape, 1.0 / self.rate, size=size)
 
     def sample_size_biased(self, rng: np.random.Generator, size=None):
         """Sample from the length-biased law t f(t) / E[T].
 
-        Closed form for the whole menu: constants are unchanged,
-        exponential(r) becomes gamma(2, r), gamma(k, r) becomes
-        gamma(k+1, r).
+        Closed form for the whole menu: constants are unchanged, and
+        gamma(k, r) becomes gamma(k+1, r).
         """
         if self.kind == "constant":
             return np.full(size, self.value) if size is not None else self.value
-        if self.kind == "exponential":
-            return rng.gamma(2.0, 1.0 / self.rate, size=size)
         return rng.gamma(self.shape + 1.0, 1.0 / self.rate, size=size)
 
 
@@ -228,15 +221,25 @@ class ContactAgeLaw:
 
     def cdf(self, t: float) -> float:
         """E[length of (L, L + I) intersected with (0, t)] / E[I]."""
+        t = float(t)
+        if np.isnan(t):
+            raise DomainError("contact age t must be a number, got nan")
         if t <= 0:
             return 0.0
-        lat, iota, t = self.latent, self.infectious, float(t)
+        if t == np.inf:
+            return 1.0
+        lat, iota = self.latent, self.infectious
         if lat.kind == "constant":
             return iota.mean_min(t - lat.value) / iota.mean()
         from scipy import integrate  # only user; keeps it out of the CLI's import time
 
-        val, _ = integrate.quad(lambda l: lat.pdf(l) * iota.mean_min(t - l), 0.0, t, limit=200)
-        return float(val) / iota.mean()
+        # F_L(t) minus the integral of f_L(l) (E[I] - E[min(I, t - l)]) / E[I]:
+        # that integrand vanishes unless t - l is small, so quad cannot miss
+        # the latent mass near l = 0.
+        mean = iota.mean()
+        val, _ = integrate.quad(lambda l: lat.pdf(l) * (mean - iota.mean_min(t - l)),
+                                0.0, t, limit=200)
+        return float(lat.cdf(t)) - float(val) / mean
 
     def window_laplace(self, x: float) -> float:
         """Integral of e^(-x t) P(L < t < L + I) dt: E[I] at x = 0, unnormalized."""
@@ -521,10 +524,6 @@ def eta_cdf(config: ModelConfig, i: int, j: int, t: float) -> float:
 # --------------------------------------------------------------------------
 # JSON interface
 # --------------------------------------------------------------------------
-
-# The parameters of each duration kind, in their JSON order.
-_DURATION_PARAMS = {"constant": ("value",), "exponential": ("rate",), "gamma": ("shape", "rate")}
-
 
 def _duration_from_dict(d) -> Duration:
     kind = d["kind"]

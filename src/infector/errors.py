@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+__all__ = ["InfectorError", "ConfigError", "DomainError", "NumericError", "NoDataError",
+           "CapExceededError", "OutOfHorizonError"]
+
 
 class InfectorError(Exception):
     """Common base for all package-specific errors."""

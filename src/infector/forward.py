@@ -54,9 +54,7 @@ class OutbreakResult:
     sigma: np.ndarray
     infector: np.ndarray
     v_init: np.ndarray
-    infected_counts: np.ndarray
     attribution_counts: np.ndarray
-    large_outbreak: bool = False
 
     @property
     def total_infected(self) -> int:
@@ -79,8 +77,6 @@ class RhoEstimate:
 def _summarize(population, sigma, infector, v_init) -> OutbreakResult:
     k = population.k
     types = population.type_array()
-    infected = np.isfinite(sigma)
-    infected_counts = np.bincount(types[infected], minlength=k)
     has_parent = infector >= 0
     att = np.zeros((k, k), dtype=np.int64)
     if has_parent.any():
@@ -92,7 +88,6 @@ def _summarize(population, sigma, infector, v_init) -> OutbreakResult:
         sigma=sigma,
         infector=infector,
         v_init=np.asarray(v_init, dtype=np.int64),
-        infected_counts=infected_counts,
         attribution_counts=att,
     )
 
@@ -219,11 +214,9 @@ def _one_replicate(config: ModelConfig, master_seed: int, index: int, threshold:
         result = run_epidemic_lazy(config, rng)
     else:
         raise DomainError(f"unknown simulation method {method!r}")
-    large = is_large_outbreak(result, threshold)
-    result.large_outbreak = large
     return {
         "replicate": index,
-        "large_outbreak": large,
+        "large_outbreak": is_large_outbreak(result, threshold),
         "final_fraction": result.final_fraction(),
         "rho": attribute_infectors(result),
     }

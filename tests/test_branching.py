@@ -123,6 +123,11 @@ def test_laplace_negative_argument():
         laplace_mean_matrix(single_type_config(n=10), -0.5)
 
 
+def test_laplace_nan_argument():
+    with pytest.raises(DomainError, match="nan"):
+        laplace_mean_matrix(single_type_config(n=10), float("nan"))
+
+
 @pytest.mark.parametrize("call", [
     lambda cfg: laplace_mean_matrix(cfg, 0.5),
     solve_malthusian,

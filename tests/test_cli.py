@@ -5,6 +5,7 @@ import importlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -110,12 +111,24 @@ def test_package_serves_forward_names_lazily(name):
     assert getattr(infector, name) is getattr(forward, name)
 
 
-@pytest.mark.parametrize("module", ["analytic", "backward", "branching", "config", "graph",
-                                    "rng"])
+@pytest.mark.parametrize("module", ["analytic", "backward", "branching", "config", "errors",
+                                    "graph", "rng"])
 def test_package_serves_every_public_name(module):
     mod = importlib.import_module(f"infector.{module}")
     assert [name for name in mod.__all__
             if getattr(infector, name, None) is not getattr(mod, name)] == []
+
+
+def test_readme_commands_parse():
+    # every documented command line must still parse: a renamed or removed
+    # flag fails here rather than in the docs
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme) as fh:
+        lines = [line for line in fh if line.startswith("infector ")]
+    parser = infector.cli.build_parser()
+    parsed = {parser.parse_args(shlex.split(line)[1:]).subcommand for line in lines}
+    assert parsed == {"simulate", "backward", "bp-estimate", "bounds", "verify", "sweep"}
 
 
 def test_package_unknown_attribute_raises():
@@ -347,6 +360,12 @@ def test_bp_estimate_refuses_before_monte_carlo(tmp_path, monkeypatch):
 # --------------------------------------------------------------------------
 # output format
 # --------------------------------------------------------------------------
+
+def test_readme_config_hash_pinned():
+    # exponential periods are stored as shape-1 gammas; their JSON form,
+    # and so every CSV's config hash, must not move
+    assert infector.cli._config_hash(readme_config(10_000)) == "334e9994d9de2947"
+
 
 def test_provenance_header_and_timestamp_suppression(tmp_path):
     cfg = _write_config(tmp_path, single_type_config(n=300, rate=2.0, seed=9))

@@ -24,8 +24,15 @@ from infector.config import (
 )
 from infector.errors import ConfigError, DomainError
 from infector.graph import draw_out_edges
+from infector.rng import stream
 
-from conftest import extremal_config, marked_config, single_type_config, symmetric_marked_config
+from conftest import (
+    extremal_config,
+    marked_config,
+    readme_config,
+    single_type_config,
+    symmetric_marked_config,
+)
 
 
 def _contact_lists(cfg, rng, size, i0=0):
@@ -76,15 +83,33 @@ def test_duration_sampling_moments(d, rng):
 @pytest.mark.parametrize("d", DURATIONS)
 def test_size_biased_sampling_mean(d, rng):
     # length-biased mean is E[T^2] / E[T]
-    if d.kind == "constant":
-        target = d.value
-    elif d.kind == "exponential":
-        target = 2.0 / d.rate
-    else:
-        target = (d.shape + 1.0) / d.rate
+    target = d.value if d.kind == "constant" else (d.shape + 1.0) / d.rate
     x = d.sample_size_biased(rng, size=200_000)
     se = x.std(ddof=1) / math.sqrt(len(x))
     assert abs(x.mean() - target) < 4 * se + 1e-12
+
+
+@given(rate=st.floats(min_value=1e-3, max_value=1e3))
+@settings(max_examples=30, deadline=None)
+def test_exponential_is_gamma_shape_one(rate):
+    # same draws, bit for bit, from streams built from the same seed
+    exp, gam = Duration.exponential(rate), Duration.gamma(1.0, rate)
+    assert exp.kind == "exponential" and exp.shape == 1.0
+    for method in ("sample", "sample_size_biased"):
+        a, b = stream(5, method), stream(5, method)
+        for size in (None, 1000):
+            x, y = getattr(exp, method)(a, size=size), getattr(gam, method)(b, size=size)
+            assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
+    assert exp.mean() == gam.mean() == 1.0 / rate
+    for x in (0.0, 0.3, 2.0, 1e6):
+        assert exp.laplace(x) == gam.laplace(x) == rate / (rate + x)
+
+
+def test_exponential_round_trips_as_exponential():
+    d = config_to_dict(single_type_config(infectious=Duration.exponential(0.7)))
+    assert d["kernel"]["infectious"] == [{"kind": "exponential", "rate": 0.7}]
+    (again,) = config_from_dict(json.loads(json.dumps(d))).kernel.infectious
+    assert again == Duration.exponential(0.7) and again.shape == 1.0
 
 
 def test_duration_validation():
@@ -335,6 +360,30 @@ def test_eta_cdf_extremal_rejected(rng):
     assert len(fast) > 0 and (fast < 1e-8).all()
     with pytest.raises(DomainError, match="extremal"):
         eta_cdf(cfg, 1, 1, 1e-8)
+
+
+def test_eta_cdf_nan_rejected_infinities_are_limits():
+    cfg = readme_config(1000)
+    for i in (1, 2):  # constant, then exponential latent period
+        with pytest.raises(DomainError, match="nan"):
+            eta_cdf(cfg, i, 1, float("nan"))
+        with pytest.raises(DomainError, match="nan"):
+            cfg.kernel.contact_age(i - 1).cdf(float("nan"))
+        assert eta_cdf(cfg, i, 1, -1.0) == eta_cdf(cfg, i, 1, -math.inf) == 0.0
+        assert eta_cdf(cfg, i, 1, math.inf) == 1.0
+
+
+@pytest.mark.parametrize("cfg", [
+    readme_config(10_000),
+    single_type_config(latent=Duration.gamma(2.0, 3.0), infectious=Duration.gamma(1.5, 0.8)),
+], ids=["readme", "gamma-latent"])
+def test_eta_cdf_stays_at_one_for_large_ages(cfg):
+    # a random latent period's mass near 0 must not drop out of the
+    # quadrature at large t (the README type 2 once gave 2.9e-92 at 1e5)
+    i = cfg.k
+    vals = [eta_cdf(cfg, i, 1, t) for t in (10.0, 100.0, 1e3, 1e4, 1e5)]
+    assert (np.diff(vals) >= -1e-12).all()
+    assert all(abs(v - 1.0) <= 1e-12 for v in vals[2:])
 
 
 def test_eta_cdf_zero_mean_rejected():
