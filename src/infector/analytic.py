@@ -2,8 +2,8 @@
 
 Everything here is a pure function of scalars or small matrices:
 reproduction numbers, extinction/final-size fixed points, Borel
-distribution identities, the two-type attribution bounds, and the exact
-binomial/Poisson total-variation distance used by the coupling checks.
+identities, two-type attribution bounds, the exact binomial/Poisson
+total-variation distance, and per-cell replicate means and stderrs.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ __all__ = [
     "theorem2_bounds",
     "analytic_report",
     "tv_binomial_poisson",
+    "mean_stderr",
 ]
 
 _RESIDUAL_TOL = 1e-12
@@ -144,10 +145,7 @@ def fixed_point_q(r0_value: float) -> FixedPointResult:
     if not r0_value > 1.0:
         raise DomainError(f"fixed_point_q requires r0 > 1, got {r0_value}")
     value = float(extinction_probs(np.array([[r0_value]]))[0])
-    residual = abs(value - np.exp(-(1.0 - value) * r0_value))
-    if residual >= _RESIDUAL_TOL:
-        raise NumericError(f"fixed point residual {residual:.3g} too large")
-    return FixedPointResult(value, float(residual))
+    return FixedPointResult(value, float(abs(value - np.exp(-(1.0 - value) * r0_value))))
 
 
 def fixed_point_qtilde(m: float) -> FixedPointResult:
@@ -233,10 +231,10 @@ def rho21_min(m11b: float, q1: float, q_tilde_1: float) -> float:
 
     ``(1 - m11b (qt1 + q1) / 2) * (qt1 - q1) / (1 - q1)``; reduces to
     ``1 - (1 + q1) m11b / 2`` when the restricted process is subcritical
-    (qt1 = 1).
+    (qt1 = 1).  q1 = 0 is allowed: exp underflow gives it for R0 >~ 745.
     """
-    if not (0 < q1 < 1):
-        raise DomainError("q1 must lie in (0, 1)")
+    if not (0 <= q1 < 1):
+        raise DomainError("q1 must lie in [0, 1)")
     if not (q1 <= q_tilde_1 <= 1):
         raise DomainError("require q1 <= q_tilde_1 <= 1")
     if m11b * q_tilde_1 > 1 + 1e-12:
@@ -259,18 +257,15 @@ def _marked_fixed_points(p1: float, m1_tilde: float, m2_tilde: float) -> tuple:
             fixed_point_qtilde(p1 * m1_tilde).value, fixed_point_qtilde(p2 * m2_tilde).value)
 
 
-def _rho1_bounds(p1, m1_tilde, m2_tilde, q, qt1, qt2, as_printed=False) -> tuple:
-    """Theorem 2's (rho1_minus, rho1_plus) from the model's fixed points."""
-    def plus(p, mt, qt):
-        inner = (1.0 - p * mt * (qt + q) / 2.0) * (qt - q) / (1.0 - q)
-        return inner if as_printed else 1.0 - inner
-
-    rho1_plus = plus(p1, m1_tilde, qt1)
-    rho1_minus = 1.0 - plus(1.0 - p1, m2_tilde, qt2)
+def _rho1_bounds(p1, m1_tilde, m2_tilde, q, qt1, qt2) -> tuple:
+    """Theorem 2's (rho1_minus, rho1_plus): each rho_j+ is 1 - rho21_min(p_j m_j, q, qt_j)."""
+    rho1_plus = 1.0 - rho21_min(p1 * m1_tilde, q, qt1)
+    rho2_plus = 1.0 - rho21_min((1.0 - p1) * m2_tilde, q, qt2)
+    rho1_minus = 1.0 - rho2_plus
     return float(min(max(rho1_minus, 0.0), 1.0)), float(min(max(rho1_plus, 0.0), 1.0))
 
 
-def theorem2_bounds(p1: float, m1_tilde: float, m2_tilde: float, as_printed: bool = False):
+def theorem2_bounds(p1: float, m1_tilde: float, m2_tilde: float):
     """Bounds (rho1_minus, rho1_plus) on the type-1 attribution fractions.
 
     ``rho1_plus`` bounds rho_11 from above, and ``rho1_minus = 1 -
@@ -280,22 +275,18 @@ def theorem2_bounds(p1: float, m1_tilde: float, m2_tilde: float, as_printed: boo
     m1 = m2 = 2 with the (1, 1) contact ages 10x longer, rho_11 = 0.3724
     < rho1_minus = 0.3984).
 
-    Default is the derivation-consistent form
-    ``rho1+ = 1 - (1 - p1 m1 (qt1 + q) / 2) (qt1 - q) / (1 - q)``;
-    ``as_printed=True`` drops the leading ``1 -`` on both bounds for
-    comparison with the alternative statement.
+    This is the derivation-consistent form
+    ``rho1+ = 1 - (1 - p1 m1 (qt1 + q) / 2) (qt1 - q) / (1 - q)``; the
+    alternative statement drops the leading ``1 -``, which is
+    ``rho21_min(p1 m1, q, qt1)`` itself.
     """
     _, q, qt1, qt2 = _marked_fixed_points(p1, m1_tilde, m2_tilde)
-    return _rho1_bounds(p1, m1_tilde, m2_tilde, q, qt1, qt2, as_printed)
+    return _rho1_bounds(p1, m1_tilde, m2_tilde, q, qt1, qt2)
 
 
 def analytic_report(p1: float, m1_tilde: float, m2_tilde: float) -> AnalyticReport:
     """Evaluate the whole fixed-point layer for a two-type marked model."""
     r0_value, q, qt1, qt2 = _marked_fixed_points(p1, m1_tilde, m2_tilde)
-    # backward mean matrix of the marked model: child-type-i mean is p_i m_i
-    # regardless of the parent's type
-    row = [p1 * m1_tilde, (1.0 - p1) * m2_tilde]
-    q1, q2 = extinction_probs(np.array([row, row]))
     lo, hi = _rho1_bounds(p1, m1_tilde, m2_tilde, q, qt1, qt2)
     return AnalyticReport(
         p1=p1,
@@ -305,8 +296,9 @@ def analytic_report(p1: float, m1_tilde: float, m2_tilde: float) -> AnalyticRepo
         q=q,
         q_tilde_1=qt1,
         q_tilde_2=qt2,
-        q1=float(q1),
-        q2=float(q2),
+        # equal rows (p_1 m_1, p_2 m_2) of the backward mean matrix: q1 = q2 = q
+        q1=q,
+        q2=q,
         rho1_minus=lo,
         rho1_plus=hi,
     )
@@ -345,3 +337,24 @@ def tv_binomial_poisson(n_trials: int, p: float, lam: float) -> float:
     # account for any mass beyond the truncation point
     tail = 0.5 * abs(bdtrc(min(hi, n_trials), n_trials, p) - pdtrc(hi, lam))
     return float(tv + tail)
+
+
+# --------------------------------------------------------------------------
+# replicate summaries
+# --------------------------------------------------------------------------
+
+def mean_stderr(rows) -> tuple:
+    """NaN-aware per-cell (mean, standard error) over a stack of replicate rows.
+
+    Each cell averages its non-NaN values; its standard error is their
+    sample standard deviation (ddof 1) over the square root of their
+    count, and NaN for a cell with fewer than two values.
+    """
+    stack = np.asarray(rows, dtype=float)
+    missing = np.isnan(stack)
+    count = np.sum(~missing, axis=0)
+    with np.errstate(invalid="ignore"):
+        mean = np.nansum(stack, axis=0) / count
+        dev = np.where(missing, 0.0, stack - mean)
+        var = np.sum(dev * dev, axis=0) / np.where(count > 1, count - 1, np.nan)
+        return mean, np.sqrt(var) / np.sqrt(count)

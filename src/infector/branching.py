@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import rng as rngmod
-from .analytic import extinction_probs, r0
+from .analytic import extinction_probs, mean_stderr, r0
 from .config import ModelConfig, mean_matrix
 from .errors import CapExceededError, DomainError, NoDataError, NumericError
 
@@ -77,8 +77,8 @@ def laplace_mean_matrix(config: ModelConfig, x: float) -> np.ndarray:
     """
     kern = config.kernel
     laws = [kern.contact_age(i0) for i0 in range(config.k)]
-    if not x >= 0:  # also rejects NaN
-        raise DomainError(f"Laplace argument must be >= 0, got {x}")
+    if not 0 <= x < np.inf:  # also rejects NaN
+        raise DomainError(f"Laplace argument must be finite and >= 0, got {x}")
     p = config.population.proportions
     phi = np.array([law.window_laplace(x) for law in laws])
     return (p[:, None] * kern.pair_rates() * phi[:, None]).T
@@ -343,11 +343,8 @@ def estimate_rho_bp(config: ModelConfig, j: int, R: int, horizon: Optional[float
         raise NoDataError("all replicates had zero surviving first-generation mass")
     contrib = np.zeros((R, k))
     contrib[alive] = num[alive] / denom[alive][:, None]
-    rho = contrib.mean(axis=0) / surv
-    if R > 1:
-        stderr = contrib.std(axis=0, ddof=1) / np.sqrt(R) / surv
-    else:
-        stderr = np.full(k, np.nan)
+    mean, stderr = mean_stderr(contrib)
+    rho, stderr = mean / surv, stderr / surv
     if details:
         return rho, stderr, contrib
     return rho, stderr

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import rng as rngmod
 from ._kernels import dijkstra
+from .analytic import mean_stderr
 from .config import ModelConfig
 from .errors import DomainError, NoDataError
 from .graph import EpidemicGraph, build_graph, draw_out_edges
@@ -53,7 +54,6 @@ class OutbreakResult:
     population: object
     sigma: np.ndarray
     infector: np.ndarray
-    v_init: np.ndarray
     attribution_counts: np.ndarray
 
     @property
@@ -71,10 +71,9 @@ class RhoEstimate:
     mean: np.ndarray
     stderr: np.ndarray
     replicates_used: int
-    replicates_total: int
 
 
-def _summarize(population, sigma, infector, v_init) -> OutbreakResult:
+def _summarize(population, sigma, infector) -> OutbreakResult:
     k = population.k
     types = population.type_array()
     has_parent = infector >= 0
@@ -87,7 +86,6 @@ def _summarize(population, sigma, infector, v_init) -> OutbreakResult:
         population=population,
         sigma=sigma,
         infector=infector,
-        v_init=np.asarray(v_init, dtype=np.int64),
         attribution_counts=att,
     )
 
@@ -106,7 +104,7 @@ def run_epidemic(graph: EpidemicGraph, v_init) -> OutbreakResult:
     """Exact multi-source shortest-path epidemic on a materialized graph."""
     v_init = _seed_vertices(v_init, graph.n)
     dist, pred = dijkstra(graph.indptr, graph.heads, graph.weights, v_init)
-    return _summarize(graph.population, dist, pred, v_init)
+    return _summarize(graph.population, dist, pred)
 
 
 # Contact lists the lazy engine draws per type at a time.
@@ -179,7 +177,7 @@ def run_epidemic_lazy(config: ModelConfig, rng: Optional[np.random.Generator] = 
         infector[v] = u
         expose(v, t)
 
-    return _summarize(pop, sigma, infector, v_init)
+    return _summarize(pop, sigma, infector)
 
 
 def attribute_infectors(result: OutbreakResult) -> np.ndarray:
@@ -258,19 +256,8 @@ def replicate_rho(config: ModelConfig, R: int, threshold: float = 0.05,
 
 
 def aggregate_rho(records: list) -> RhoEstimate:
-    """Mean and standard error of rho over the large-outbreak records.
-
-    Each cell averages its non-NaN values; its standard error is their
-    sample standard deviation over the square root of their count.
-    """
+    """``analytic.mean_stderr`` of rho over the large-outbreak records."""
     used = [rec["rho"] for rec in records if rec["large_outbreak"]]
     if not used:
         raise NoDataError(f"no large outbreak among {len(records)} replicates")
-    stack = np.stack(used)
-    mean = np.nanmean(stack, axis=0)
-    with np.errstate(invalid="ignore"):
-        count = np.sum(~np.isnan(stack), axis=0)
-        std = np.nanstd(stack, axis=0, ddof=1) if len(used) > 1 else np.full(mean.shape, np.nan)
-    stderr = std / np.sqrt(np.maximum(count, 1))
-    return RhoEstimate(mean=mean, stderr=stderr, replicates_used=len(used),
-                       replicates_total=len(records))
+    return RhoEstimate(*mean_stderr(used), replicates_used=len(used))

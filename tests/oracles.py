@@ -7,7 +7,9 @@ snapshots, and restricted susceptibility set sizes.  A per-particle
 loop with a full event log does, one run at a time, what the batched
 branching-process simulator does by generation; ``simulate_batch`` is
 the earlier per-particle-array form of that simulator, whose draw order
-the block form must keep.
+the block form must keep.  ``rho1_bounds`` and ``aggregate_mean_stderr``
+are the earlier inline forms of Theorem 2's bounds and of the replicate
+mean and standard error, which ``analytic`` now computes once each.
 """
 
 import heapq
@@ -270,3 +272,25 @@ def simulate_backward_bp(config: ModelConfig, root_type: int, horizon: float,
         horizon=float(horizon),
         capped=capped,
     )
+
+
+def rho1_bounds(p1, m1_tilde, m2_tilde, q, qt1, qt2) -> tuple:
+    """Theorem 2's (rho1_minus, rho1_plus), with the rho21_min formula inline."""
+    def plus(p, mt, qt):
+        inner = (1.0 - p * mt * (qt + q) / 2.0) * (qt - q) / (1.0 - q)
+        return 1.0 - inner
+
+    rho1_plus = plus(p1, m1_tilde, qt1)
+    rho1_minus = 1.0 - plus(1.0 - p1, m2_tilde, qt2)
+    return float(min(max(rho1_minus, 0.0), 1.0)), float(min(max(rho1_plus, 0.0), 1.0))
+
+
+def aggregate_mean_stderr(used) -> tuple:
+    """Per-cell (mean, stderr) of a list of rho matrices, through nanmean and nanstd."""
+    stack = np.stack(used)
+    mean = np.nanmean(stack, axis=0)
+    with np.errstate(invalid="ignore"):
+        count = np.sum(~np.isnan(stack), axis=0)
+        std = np.nanstd(stack, axis=0, ddof=1) if len(used) > 1 else np.full(mean.shape, np.nan)
+    stderr = std / np.sqrt(np.maximum(count, 1))
+    return mean, stderr

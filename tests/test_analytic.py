@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize, stats
 
@@ -17,12 +17,15 @@ from infector.analytic import (
     extinction_probs,
     fixed_point_q,
     fixed_point_qtilde,
+    mean_stderr,
     r0,
     rho21_min,
     theorem2_bounds,
     tv_binomial_poisson,
 )
 from infector.errors import DomainError, NumericError
+
+import oracles
 
 
 def brentq_q(r0_value: float) -> float:
@@ -186,7 +189,7 @@ def test_fixed_point_q_near_critical_oracle(r):
 def test_analytic_report_near_critical_marked(p1, m1t, m2t):
     # a marked model's backward process is one-type in disguise: q = q1 = q2
     rep = analytic_report(p1, m1t, m2t)
-    assert abs(rep.q1 - rep.q) <= 1e-12 and abs(rep.q2 - rep.q) <= 1e-12
+    assert rep.q1 == rep.q2 == rep.q
     for m, qt in ((p1 * m1t, rep.q_tilde_1), ((1.0 - p1) * m2t, rep.q_tilde_2)):
         assert (qt < 1.0) == (m > 1.0)
         if m > 1.0:  # the smallest root, not one ulp below the trivial root 1
@@ -437,10 +440,33 @@ def test_bounds_subcritical_rejected():
 
 
 def test_bounds_printed_form_differs():
+    # the printed form drops the leading "1 -": it is rho21_min itself
     lo, hi = theorem2_bounds(0.5, 2.0, 2.0)
-    lo_p, hi_p = theorem2_bounds(0.5, 2.0, 2.0, as_printed=True)
+    rep = analytic_report(0.5, 2.0, 2.0)
+    hi_p = rho21_min(0.5 * 2.0, rep.q, rep.q_tilde_1)
     assert hi_p == pytest.approx(1.0 - hi, abs=1e-12)
     assert hi_p < 0.5  # the printed form contradicts the symmetric exact value
+
+
+_M_TILDE = st.one_of(st.floats(0.0, 4.0), st.floats(0.0, 2000.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p1=st.floats(1e-9, 1.0 - 1e-9), m1t=_M_TILDE, m2t=_M_TILDE)
+@example(p1=0.5, m1t=1600.0, m2t=1600.0)   # R0 = 1600: q underflows to 0
+@example(p1=0.3, m1t=0.0, m2t=1100.0)      # R0 = 770, q = 0, qt1 = 1
+@example(p1=0.5, m1t=1.0 + 2e-6, m2t=1.0)  # R0 = 1 + 1e-6
+def test_bounds_match_inline_formula_bitwise(p1, m1t, m2t):
+    # rho1_plus through rho21_min is the earlier inline formula, bit for bit
+    r0_value = p1 * m1t + (1.0 - p1) * m2t
+    if not r0_value > 1.0:
+        with pytest.raises(DomainError):
+            theorem2_bounds(p1, m1t, m2t)
+        return
+    rep = analytic_report(p1, m1t, m2t)
+    expected = oracles.rho1_bounds(p1, m1t, m2t, rep.q, rep.q_tilde_1, rep.q_tilde_2)
+    assert theorem2_bounds(p1, m1t, m2t) == expected == (rep.rho1_minus, rep.rho1_plus)
+    assert rep.q1 == rep.q2 == rep.q  # the marked identity
 
 
 def test_bounds_match_rho21_min_complement():
@@ -492,3 +518,38 @@ def test_tv_envelope_and_monotonicity():
             if prev is not None:
                 assert tv < prev
             prev = tv
+
+
+# --------------------------------------------------------------------------
+# replicate summaries
+# --------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), reps=st.integers(2, 40), k=st.integers(1, 3),
+       nan_frac=st.floats(0.0, 0.9))
+def test_mean_stderr_matches_nan_aware_formula_bitwise(seed, reps, k, nan_frac):
+    # every cell keeps at least two values; the rest are NaN at random
+    rng = np.random.default_rng(seed)
+    stack = rng.random((reps, k, k)) * 10.0 ** rng.integers(-3, 4)
+    missing = rng.random(stack.shape) < nan_frac
+    keep = np.argsort(rng.random(stack.shape), axis=0)[:2]
+    np.put_along_axis(missing, keep, False, axis=0)
+    stack[missing] = np.nan
+    mean, stderr = mean_stderr(list(stack))
+    mean_o, stderr_o = oracles.aggregate_mean_stderr(list(stack))
+    assert mean.tobytes() == mean_o.tobytes() and stderr.tobytes() == stderr_o.tobytes()
+    # without NaN, the plain mean and ddof-1 std over sqrt(R) of the BP estimate
+    full = np.where(missing, 0.5, stack).reshape(reps, -1)
+    mean, stderr = mean_stderr(full)
+    assert mean.tobytes() == full.mean(axis=0).tobytes()
+    assert stderr.tobytes() == (full.std(axis=0, ddof=1) / np.sqrt(len(full))).tobytes()
+
+
+def test_mean_stderr_fewer_than_two_values_is_nan():
+    # a cell with one value (or none) has no standard error: NaN, no warning
+    rows = [np.array([0.2, np.nan, np.nan]), np.array([0.4, 0.7, np.nan])]
+    mean, stderr = mean_stderr(rows)
+    assert mean[:2].tolist() == pytest.approx([0.3, 0.7]) and np.isnan(mean[2])
+    assert np.isfinite(stderr[0]) and np.isnan(stderr[1:]).all()
+    mean, stderr = mean_stderr(rows[1:])
+    assert mean[:2].tolist() == [0.4, 0.7] and np.isnan(stderr).all()

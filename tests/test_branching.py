@@ -128,6 +128,12 @@ def test_laplace_nan_argument():
         laplace_mean_matrix(single_type_config(n=10), float("nan"))
 
 
+def test_laplace_inf_argument():
+    # a constant-0 latent period would give exp(-inf * 0) = NaN entries
+    with pytest.raises(DomainError, match="inf"):
+        laplace_mean_matrix(readme_config(1000), float("inf"))
+
+
 @pytest.mark.parametrize("call", [
     lambda cfg: laplace_mean_matrix(cfg, 0.5),
     solve_malthusian,

@@ -584,13 +584,15 @@ def test_backward_bad_arguments_are_usage_errors(tmp_path, capsys, bad, says):
 @pytest.mark.parametrize("command", [
     ["bp-estimate", "--type", "1", "--replicates", "200", "--horizon", "6"],
     ["backward", "--roots-per-type", "2"],
-], ids=["bp-estimate", "backward"])
+    ["verify", "--replicates", "5"],  # its malthusian-residual row needs alpha
+], ids=["bp-estimate", "backward", "verify"])
 def test_extremal_kernel_refused_on_the_backward_side(tmp_path, capsys, command):
     cfg = _write_config(tmp_path, extremal_config(n=2000))
     rc = main(command + ["--config", cfg, "--output-dir", str(tmp_path / "o")])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error:") and "extremal_two_type" in err
+    assert not list((tmp_path / "o").glob("*.csv"))
 
 
 def test_extremal_backward_search_with_given_t_star(tmp_path):

@@ -7,8 +7,10 @@ import pytest
 from scipy import stats
 
 from infector.analytic import fixed_point_q, theorem2_bounds
+from infector.config import Duration, MarkovSEIR, ModelConfig, PopulationSpec
 from infector.errors import DomainError, NoDataError
 from infector.forward import (
+    aggregate_rho,
     attribute_infectors,
     is_large_outbreak,
     replicate_records,
@@ -136,7 +138,7 @@ def test_attribution_conservation():
     res = run_epidemic(g, [0])
     pop = g.population
     types = pop.type_array()
-    seeds = res.v_init
+    seeds = [0]
     for j0 in range(pop.k):
         never = int((~np.isfinite(res.sigma) & (types == j0)).sum())
         seeded = int(sum(1 for s in seeds if types[s] == j0))
@@ -246,6 +248,22 @@ def test_replicate_rho_no_data_error():
     cfg = single_type_config(n=500, rate=0.5, seed=53)
     with pytest.raises(NoDataError):
         replicate_rho(cfg, 10, threshold=0.05)
+
+
+def test_aggregate_rho_one_value_cell_has_nan_stderr():
+    # a lone type-2 vertex: among the large outbreaks its rho column has one
+    # non-NaN value, whose standard error is NaN, without a numpy warning
+    pop = PopulationSpec(n=400, counts=[399, 1], proportions=[0.9975, 0.0025])
+    kern = MarkovSEIR(latent=[Duration.constant(0.0)] * 2,
+                      infectious=[Duration.exponential(1.0)] * 2,
+                      contact_rates=[[2.0, 2.0], [2.0, 2.0]])
+    cfg = ModelConfig(population=pop, kernel=kern, initial_infecteds=(0,), seed=5)
+    records = replicate_records(cfg, 6, master_seed=5)
+    used = np.stack([rec["rho"] for rec in records if rec["large_outbreak"]])
+    assert len(used) >= 2 and (~np.isnan(used[:, 0, 1])).sum() == 1
+    est = aggregate_rho(records)
+    assert np.isnan(est.stderr[:, 1]).all() and np.isfinite(est.stderr[:, 0]).all()
+    assert np.isfinite(est.mean).all()
 
 
 def test_replicates_deterministic_and_thread_invariant():
