@@ -33,9 +33,6 @@ __all__ = [
 ]
 
 _RESIDUAL_TOL = 1e-12
-# Step cap of extinction_probs's monotone iteration, the warm start of its
-# Newton polish: enough for every mean matrix away from criticality.
-_EXTINCTION_MAX_ITER = 1_000
 
 
 @dataclass(frozen=True)
@@ -106,30 +103,28 @@ def extinction_probs(mb) -> np.ndarray:
     """Smallest fixed point of q = exp(-Mb (1 - q)) for Poisson offspring.
 
     ``mb[j, i]`` is the expected number of type-(i+1) children of a
-    type-(j+1) parent.  Iteration from the zero vector increases
-    monotonically toward the extinction-probability vector; Newton's
-    method from any point below it stays below it and converges, so a
-    capped monotone run is its warm start.
+    type-(j+1) parent.  Newton's method runs on the survival
+    probabilities s = 1 - q: F(s) = s + expm1(-Mb s) is convex, with
+    Jacobian I - diag(exp(-Mb s)) Mb, so from s = 1 the iterates fall
+    monotonically to its largest root with no warm start.  They stop
+    after the first step that lowers no entry of s by more than 4 ulps,
+    as in exact arithmetic every step would.  F's rounding error scales
+    with s, so 1 - q keeps its relative accuracy near criticality; q is
+    returned as exp(-Mb s), which keeps its own where it is tiny.
     """
     mb = np.asarray(mb, dtype=float)
     if r0(mb, require_irreducible=False) <= 1.0:
         raise DomainError("extinction probabilities require a supercritical mean matrix")
-    k = mb.shape[0]
-    q = np.zeros(k)
-    for _ in range(_EXTINCTION_MAX_ITER):
-        q_new = np.exp(-mb @ (1.0 - q))
-        if np.max(np.abs(q_new - q)) < 1e-10:
-            q = q_new
-            break
-        q = q_new
-    # Newton polish: F(q) = q - exp(-Mb (1-q)), J = I - diag(exp(..)) Mb
+    s = np.ones(mb.shape[0])
     for _ in range(100):
-        e = np.exp(-mb @ (1.0 - q))
-        res = q - e
-        if np.max(np.abs(res)) < 1e-15:
+        ms = mb @ s
+        step = np.linalg.solve(np.eye(len(s)) - np.exp(-ms)[:, None] * mb, s + np.expm1(-ms))
+        s = s - step
+        if np.all(step <= 4 * np.spacing(s)):
             break
-        jac = np.eye(k) - e[:, None] * mb
-        q = q - np.linalg.solve(jac, res)
+    else:
+        raise NumericError("extinction Newton iteration hit its 100-step cap")
+    q = np.exp(-mb @ s)
     residual = np.max(np.abs(q - np.exp(-mb @ (1.0 - q))))
     if residual < _RESIDUAL_TOL:
         return np.clip(q, 0.0, 1.0)

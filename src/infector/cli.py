@@ -371,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_verify, outputs=("verify.csv",))
 
     s = sub.add_parser("sweep", help="analytic report over a parameter grid")
-    s.add_argument("--seed", type=int, default=None)
     s.add_argument("--output-dir", default="out")
     s.add_argument("--force", action="store_true")
     s.add_argument("--no-timestamp", action="store_true")

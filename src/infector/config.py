@@ -328,10 +328,10 @@ class ExtremalTwoType:
     def __post_init__(self):
         if self.base.k != 2:
             raise ConfigError("ExtremalTwoType requires exactly two types")
-        i, j = self.fast_pair
+        i, j = (_integer(v, "fast_pair") for v in self.fast_pair)
         if not (1 <= i <= 2 and 1 <= j <= 2):
             raise ConfigError("fast_pair entries must be 1 or 2")
-        object.__setattr__(self, "fast_pair", (int(i), int(j)))
+        object.__setattr__(self, "fast_pair", (i, j))
 
     @property
     def k(self) -> int:
@@ -569,7 +569,8 @@ def _kernel_to_dict(kern: Kernel):
 
 
 def _integer(value, name: str) -> int:
-    if isinstance(value, str) or not float(value).is_integer():
+    # bool is an int subclass, but a JSON true is no count
+    if isinstance(value, (str, bool)) or not float(value).is_integer():
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return int(value)
 

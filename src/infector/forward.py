@@ -14,6 +14,7 @@ the number of infected.
 from __future__ import annotations
 
 import heapq
+import os
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -233,7 +234,9 @@ def replicate_records(config: ModelConfig, R: int, threshold: float = 0.05,
     if master_seed is None:
         master_seed = config.seed
     if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        # one worker per core at most: each replicate owns its stream, so no
+        # output depends on the pool size
+        with ThreadPoolExecutor(max_workers=min(threads, R, os.cpu_count() or 1)) as pool:
             records = list(
                 pool.map(lambda r: _one_replicate(config, master_seed, r, threshold, method),
                          range(R))

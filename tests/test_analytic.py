@@ -267,6 +267,30 @@ def test_extinction_probs_reducible():
     assert np.abs(q - np.exp(-mb @ (1.0 - q))).max() < 1e-12
 
 
+def test_extinction_probs_critical_component_dies_out():
+    # type 2 alone is critical, so its line dies out surely: q2 = 1
+    assert abs(extinction_probs(np.array([[2.0, 1.0], [0.0, 1.0]]))[1] - 1.0) <= 1e-12
+
+
+# 1 - q references: 50-digit mpmath roots of s = -expm1(-Mb s), taken at the
+# float inputs as written here
+@pytest.mark.parametrize("r, survival", [
+    (1 + 1e-6, 1.9999973331719116039e-6),
+    (1 + 1e-4, 0.00019997333644407875672),
+    (1.001, 0.0019973364410108776513),
+])
+def test_fixed_point_q_survival_relative_accuracy(r, survival):
+    # near criticality 1 - q is small and must keep its relative accuracy
+    assert abs((1.0 - fixed_point_q(r).value) / survival - 1.0) <= 1e-9
+
+
+def test_extinction_probs_survival_relative_accuracy_2x2():
+    # irreducible, unequal row sums, Perron root 1 + 1e-6 (to 1e-17)
+    mb = np.array([[0.5, 0.6], [0.5, 0.4000021999976]])
+    survival = np.array([2.1639300014535131395e-6, 1.803278903377766353e-6])
+    assert np.abs((1.0 - extinction_probs(mb)) / survival - 1.0).max() <= 1e-9
+
+
 def test_extinction_ordering_chain():
     # q <= q1 <= q_tilde_1 for a supercritical marked model
     p1, m1t, m2t = 0.4, 3.0, 1.8

@@ -136,14 +136,18 @@ def test_package_unknown_attribute_raises():
         infector.no_such_name
 
 
-def test_no_module_imports_a_private_name_from_a_sibling():
+def _package_trees():
+    """(file name, parsed module) of each source file of the package."""
     package = os.path.dirname(os.path.abspath(infector.__file__))
-    offenders = []
     for name in sorted(os.listdir(package)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(package, name)) as fh:
-            tree = ast.parse(fh.read())
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as fh:
+                yield name, ast.parse(fh.read())
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    offenders = []
+    for name, tree in _package_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and (
                     node.level or (node.module or "").startswith("infector")):
@@ -152,15 +156,37 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     assert offenders == []
 
 
+def test_no_unused_imports_in_src():
+    # every name an import binds is referenced in its module or listed in
+    # its __all__; __future__ and star imports bind no checkable name
+    unused = []
+    for name, tree in _package_trees():
+        bound, used = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update(alias.asname or alias.name for alias in node.names
+                             if alias.name != "*")
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(target, ast.Name) and target.id == "__all__"
+                    for target in node.targets):
+                used.update(ast.literal_eval(node.value))
+        unused += [f"{name}: {b}" for b in sorted(bound - used)]
+    assert unused == []
+
+
 def test_missing_config_file(tmp_path):
     rc = main(["simulate", "--config", str(tmp_path / "nope.json"),
                "--replicates", "1", "--output-dir", str(tmp_path / "o")])
     assert rc == 2
 
 
-def _edited(keys, value):
-    """JSON text of a valid two-type config with one field replaced."""
-    d = config_to_dict(marked_config(2000, 0.4, 3.0, 2.0))
+def _edited(keys, value, cfg=None):
+    """JSON text of a valid two-type config (marked by default) with one field replaced."""
+    d = config_to_dict(cfg or marked_config(2000, 0.4, 3.0, 2.0))
     node = d
     for key in keys[:-1]:
         node = node[key]
@@ -187,15 +213,21 @@ def test_malformed_config(tmp_path, capsys, text):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("keys, value, field", [
-    (("population", "counts"), [800.5, 1199.5], "population.counts"),
-    (("initial_infecteds",), {"vertices": [0.9]}, "initial_infecteds.vertices"),
-    (("initial_infecteds",), {"per_type": [[1.5, 1]]}, "initial_infecteds.per_type"),
-], ids=["counts", "vertices", "per-type"])
-def test_non_integer_config_field_named(tmp_path, capsys, keys, value, field):
-    # once silently truncated: counts [800, 1199] then failed on their sum
+@pytest.mark.parametrize("keys, value, field, cfg", [
+    (("population", "counts"), [800.5, 1199.5], "population.counts", None),
+    (("initial_infecteds",), {"vertices": [0.9]}, "initial_infecteds.vertices", None),
+    (("initial_infecteds",), {"per_type": [[1.5, 1]]}, "initial_infecteds.per_type", None),
+    (("initial_infecteds",), {"per_type": [[True, 1]]}, "initial_infecteds.per_type", None),
+    (("seed",), True, "seed", None),
+    (("kernel", "fast_pair"), [1.5, 1], "fast_pair", extremal_config(2000)),
+    (("kernel", "fast_pair"), [True, 2], "fast_pair", extremal_config(2000)),
+], ids=["counts", "vertices", "per-type", "per-type-true", "seed-true", "fast-pair-1.5",
+        "fast-pair-true"])
+def test_non_integer_config_field_named(tmp_path, capsys, keys, value, field, cfg):
+    # once silently truncated or read as 1: counts [800, 1199] then failed on
+    # their sum, fast_pair [1.5, 1] loaded as (1, 1) and "seed": true as 1
     path = tmp_path / "bad.json"
-    path.write_text(_edited(keys, value))
+    path.write_text(_edited(keys, value, cfg))
     rc = main(["simulate", "--config", str(path), "--replicates", "1",
                "--output-dir", str(tmp_path / "o")])
     assert rc == 2
@@ -204,7 +236,7 @@ def test_non_integer_config_field_named(tmp_path, capsys, keys, value, field):
 
 
 @pytest.mark.parametrize("case", ["config-is-dir", "output-dir-is-file",
-                                  "grid-a", "grid-comma"])
+                                  "grid-a", "grid-comma", "sweep-seed"])
 def test_bad_paths_and_grids_are_usage_errors(tmp_path, capsys, case):
     cfg = _write_config(tmp_path, single_type_config(n=50))
     (tmp_path / "file").write_text("")
@@ -217,6 +249,9 @@ def test_bad_paths_and_grids_are_usage_errors(tmp_path, capsys, case):
                    "--output-dir", str(tmp_path / "o")],
         "grid-comma": ["sweep", "--p1-grid", ",", "--m1-grid", "2", "--m2-grid", "2",
                        "--output-dir", str(tmp_path / "o")],
+        # sweep is deterministic: it has no --seed
+        "sweep-seed": ["sweep", "--p1-grid", "0.5", "--m1-grid", "2", "--m2-grid", "2",
+                       "--seed", "3", "--output-dir", str(tmp_path / "o")],
     }[case]
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -694,6 +729,18 @@ def test_bounds_near_critical_marked(capsys):
     values = dict(line.split() for line in capsys.readouterr().out.splitlines())
     assert abs(float(values["rho1_plus"]) - 0.500066) <= 1e-6
     assert float(values["q"]) == pytest.approx(float(values["q1"]), abs=1e-12)
+
+
+def test_bounds_ordered_just_above_criticality(tmp_path):
+    # R0 = 1.000002 puts the bounds 6.7e-13 either side of 1/2, so an error
+    # of 1.2e-11 in q once swapped them; references: 50-digit mpmath
+    assert main(["bounds", "--p1", "0.5", "--m1", "1.000002", "--m2", "1.000002",
+                 "--no-timestamp", "--output-dir", str(tmp_path)]) == 0
+    _, header, rows = _read_csv(tmp_path / "bounds.csv")
+    lo, hi = (float(rows[0][header.index(name)]) for name in ("rho1_minus", "rho1_plus"))
+    assert lo < hi
+    assert abs(lo - 0.49999999999933333422) <= 1e-12
+    assert abs(hi - 0.50000000000066666578) <= 1e-12
 
 
 def test_bounds_requires_parameters():

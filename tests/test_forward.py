@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy import stats
 
 from infector.analytic import fixed_point_q, theorem2_bounds
 from infector.config import Duration, MarkovSEIR, ModelConfig, PopulationSpec
+from infector import forward
 from infector.errors import DomainError, NoDataError
 from infector.forward import (
     aggregate_rho,
@@ -186,6 +188,33 @@ def test_is_large_outbreak_thresholds():
 def test_replicate_records_rejects_threads_below_one(threads):
     with pytest.raises(DomainError, match="threads"):
         replicate_records(single_type_config(n=50), 3, threads=threads)
+
+
+def test_replicate_records_caps_the_pool(monkeypatch):
+    # --threads 1000000 once asked the OS for a thread per replicate; the
+    # fake pool records its size and runs the tasks serially, starting none
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(forward, "ThreadPoolExecutor", SerialPool)
+    cfg = single_type_config(n=50)
+    records = replicate_records(cfg, 3, threads=10**6)
+    assert sizes == [min(3, os.cpu_count() or 1)]
+    serial = replicate_records(cfg, 3, threads=1)
+    assert all(np.array_equal(a["rho"], b["rho"], equal_nan=True)
+               for a, b in zip(records, serial, strict=True))
 
 
 # --------------------------------------------------------------------------
