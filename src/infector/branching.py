@@ -12,12 +12,13 @@ One simulator, ``_simulate_batch``, grows many independent runs a
 generation at a time up to a horizon T and returns each run's size,
 last birth time and cap flag.  A generation is a short list of blocks,
 one per child type, holding an int32 run id and a float64 birth time per
-particle: 12 bytes per live particle, plus, while a child type is drawn,
-4 bytes per parent of counts, 8 bytes per child of age draws (16 with a
-random latent period) and the temporaries of one slice of ``_SLICE``
-parents.  W is estimated as e^(-alpha T) * size(T), and as 0 when the
-run had no birth in [T/2, T]: that no-growth rule is the extinction
-surrogate shared by ``estimate_W``, ``estimate_rho_bp`` and
+particle.  The L parents of a block bear one Poisson(L m) total of
+type-i children, each with a uniform parent: the law of L independent
+Poisson(m) counts.  Memory is 12 bytes per live particle, plus the kept
+children of the type being drawn and the temporaries of one slice of
+``_SLICE`` children.  W is estimated as e^(-alpha T) * size(T), and as 0
+when the run had no birth in [T/2, T]: that no-growth rule is the
+extinction surrogate shared by ``estimate_W``, ``estimate_rho_bp`` and
 ``extinction_frequency``.
 """
 
@@ -53,7 +54,7 @@ class MalthusianSolution:
 
 # Roots per _simulate_batch call when estimating W; bounds peak memory.
 _BATCH = 4_000
-# Parents per slice of _simulate_batch's expand-filter step; bounds its temporaries.
+# Children per slice of _simulate_batch's draw-filter step; bounds its temporaries.
 _SLICE = 1 << 14
 
 
@@ -149,7 +150,7 @@ def _simulate_batch(config: ModelConfig, root_types0: np.ndarray, horizon: float
     """
     laws = [config.kernel.contact_age(i0) for i0 in range(config.k)]
     mb = backward_mean_matrix(config)
-    if mb.max() > 2**30:  # Poisson counts then stay far below 2**31: int32 holds them
+    if mb.max() > 2**30:  # a block's Poisson total mean then stays in numpy's range
         raise NumericError(f"backward offspring mean {mb.max():.3g} exceeds 2**30")
     types0 = np.asarray(root_types0, dtype=np.int64)
     n_runs = len(types0)
@@ -163,26 +164,21 @@ def _simulate_batch(config: ModelConfig, root_types0: np.ndarray, horizon: float
     while gen:
         nxt = []
         for i0 in range(config.k):
-            counts = [rng.poisson(mb[t, i0], size=len(run)).astype(np.int32) for t, run, _ in gen]
-            total = sum(int(c.sum()) for c in counts)
-            if total == 0:
+            totals = [rng.poisson(mb[t, i0] * len(run)) for t, run, _ in gen]
+            if not any(totals):
                 continue
-            biased, lat = laws[i0].draw(rng, total)
-            runs, births, at = [], [], 0
-            for (_, run, times), c in zip(gen, counts):
-                for p in range(0, len(c), _SLICE):
-                    cs = c[p:p + _SLICE]
-                    n = int(cs.sum())
-                    birth = biased[at:at + n]
-                    birth *= rng.random(n)  # uniform draws may come in slices: no buffered state
-                    birth += lat if np.ndim(lat) == 0 else lat[at:at + n]
-                    parent = np.arange(len(cs)).repeat(cs.astype(np.intp))  # slice-local ids
-                    birth += times[p:p + _SLICE].take(parent)
+            runs, births = [], []
+            for (_, run, times), total in zip(gen, totals):
+                for at in range(0, total, _SLICE):
+                    n = min(_SLICE, total - at)
+                    parent = rng.integers(0, len(run), n)
+                    birth, lat = laws[i0].draw(rng, n)
+                    birth *= rng.random(n)
+                    birth += lat
+                    birth += times.take(parent)
                     kept = np.flatnonzero(birth <= horizon)
                     births.append(birth.take(kept))
-                    runs.append(run[p:p + _SLICE].take(parent.take(kept)))
-                    at += n
-            del counts, c, cs, biased, lat, birth, parent, kept  # free the draws before the join
+                    runs.append(run.take(parent.take(kept)))
             birth, child_run = np.concatenate(births), np.concatenate(runs)
             del births, runs
             if not len(birth):

@@ -180,6 +180,8 @@ class PopulationSpec:
         object.__setattr__(self, "proportions", np.asarray(self.proportions, dtype=float))
         if self.counts.ndim != 1 or self.proportions.shape != self.counts.shape:
             raise ConfigError("counts and proportions must be 1-d and equal length")
+        if self.n < 1:
+            raise ConfigError(f"population.n must be >= 1, got {self.n}")
         object.__setattr__(self, "_boundaries", np.concatenate(([0], np.cumsum(self.counts))))
 
     @property
@@ -191,8 +193,8 @@ class PopulationSpec:
         return self._boundaries
 
     def type_index(self, j) -> int:
-        """0-based index of a 1-based type j; DomainError unless j is an integer in 1..K."""
-        if not (float(j).is_integer() and 1 <= j <= self.k):  # NaN fails is_integer
+        """0-based index of a 1-based type j; DomainError unless j is an integer, not a bool, in 1..K."""
+        if isinstance(j, (bool, np.bool_)) or not (float(j).is_integer() and 1 <= j <= self.k):
             raise DomainError(f"type {j} out of range 1..{self.k}")
         return int(j) - 1
 
@@ -405,6 +407,7 @@ def resolve_initial(population: PopulationSpec, spec) -> tuple:
     out = []
     for count, t in pairs:
         count = _integer(count, "initial_infecteds.per_type count")
+        t = _integer(t, "initial_infecteds.per_type type")
         vs = population.vertices_of_type(population.type_index(t))
         if not 0 <= count <= len(vs):
             raise ConfigError(f"cannot seed {count} vertices of type {t}")
@@ -569,9 +572,9 @@ def _kernel_to_dict(kern: Kernel):
 
 
 def _integer(value, name: str) -> int:
-    # bool is an int subclass, but a JSON true is no count
-    if isinstance(value, (str, bool)) or not float(value).is_integer():
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    # bool is an int subclass, but a JSON true is no count; counts and ids are int64
+    if isinstance(value, (str, bool)) or not (-2**63 <= value < 2**63 and float(value).is_integer()):
+        raise ConfigError(f"{name} must be a 64-bit integer, got {value!r}")
     return int(value)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -39,7 +40,7 @@ from conftest import (
     single_type_config,
     symmetric_marked_config,
 )
-from oracles import simulate_backward_bp, simulate_batch
+from oracles import simulate_backward_bp
 
 
 # --------------------------------------------------------------------------
@@ -237,18 +238,23 @@ def _batch_cases(draw):
             draw(st.integers(0, 2**32)))
 
 
-@given(_batch_cases())
+@given(_batch_cases(), st.booleans())
 @settings(max_examples=80, deadline=None)
-def test_batch_simulator_keeps_per_particle_draw_order(case):
-    # the block simulator draws exactly what the per-particle-array form
-    # drew, in the same order, and leaves the stream in the same state
+def test_batch_simulator_invariants_and_determinism(case, stop_on_cap):
+    # every run keeps its root, a run has a birth exactly when it grew,
+    # births stay within the horizon, the cap flag is exactly size > cap,
+    # and one seed gives one output and one final stream state
     cfg, roots, horizon, cap, seed = case
-    ref_rng, rng = stream(seed, "order"), stream(seed, "order")
-    ref = simulate_batch(cfg, roots, horizon, cap, ref_rng)
-    out = _simulate_batch(cfg, roots, horizon, cap, rng)
-    for a, b in zip(ref, out):
+    rng, again = stream(seed, "order"), stream(seed, "order")
+    sizes, last_birth, capped = _simulate_batch(cfg, roots, horizon, cap, rng, stop_on_cap)
+    assert (sizes >= 1).all()
+    assert np.array_equal(sizes == 1, last_birth == 0.0)
+    assert (last_birth <= horizon).all()
+    assert np.array_equal(capped, sizes > cap)
+    for a, b in zip((sizes, last_birth, capped),
+                    _simulate_batch(cfg, roots, horizon, cap, again, stop_on_cap)):
         assert np.array_equal(a, b)
-    assert repr(ref_rng.bit_generator.state) == repr(rng.bit_generator.state)
+    assert repr(rng.bit_generator.state) == repr(again.bit_generator.state)
 
 
 def test_batch_simulator_peak_memory():
@@ -279,33 +285,34 @@ def test_batch_simulator_peak_memory_sliced():
     assert peak <= 7.5e6
 
 
-@pytest.mark.parametrize("slice_len", [1, 3, 7])
-@pytest.mark.parametrize("case", ["readme", "asymmetric", "gamma-latent", "capped"])
-def test_batch_simulator_slices_keep_draw_order(monkeypatch, slice_len, case):
-    # slices shorter than a block: the per-slice uniform draws and kept
-    # pieces must add up to the single draw of the per-particle-array form
+@pytest.mark.parametrize("slice_len", [1, 7])
+def test_batch_simulator_slices_match_event_log_oracle(monkeypatch, slice_len):
+    # slices of a few children draw parent ids, ages and uniforms in
+    # pieces; the law must stay that of the per-particle event-log loop
     monkeypatch.setattr(infector.branching, "_SLICE", slice_len)
-    roots = np.array([0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1])
-    cfg, horizon, cap = {
-        "readme": (readme_config(100), 4.0, 1_000),
-        "asymmetric": (asymmetric_seir_config(n=100), 4.0, 1_000),
-        "gamma-latent": (marked_config(100, 0.4, 3.0, 2.0), 4.0, 1_000),
-        "capped": (readme_config(100), 6.0, 40),
-    }[case]
-    if case == "gamma-latent":
-        kern = cfg.kernel
-        cfg = ModelConfig(population=cfg.population,
-                          kernel=MarkedSingleProcess([Duration.gamma(2.0, 3.0)] * 2,
-                                                     kern.infectious, kern.total_rates),
-                          initial_infecteds=(0,))
-    ref_rng, rng = stream(17, "slices", slice_len), stream(17, "slices", slice_len)
-    ref = simulate_batch(cfg, roots, horizon, cap, ref_rng)
-    out = _simulate_batch(cfg, roots, horizon, cap, rng)
-    assert out[0].sum() > 100  # blocks span many slices
-    assert out[2].any() == (case == "capped")
-    for a, b in zip(ref, out):
-        assert np.array_equal(a, b)
-    assert repr(ref_rng.bit_generator.state) == repr(rng.bit_generator.state)
+    cfg = asymmetric_seir_config(n=100)
+    horizon, runs = 3.0, 2000
+    for root_type in (1, 2):
+        ref_rng = stream(47, "oracle", root_type)
+        ref = np.array([simulate_backward_bp(cfg, root_type, horizon, rng=ref_rng).size
+                        for _ in range(runs)])
+        sizes, _, _ = _simulate_batch(cfg, np.full(runs, root_type - 1), horizon, 1_000_000,
+                                      stream(53, "slices", slice_len, root_type))
+        assert sizes.sum() > 2 * runs  # thousands of children: many slices per block
+        for stat in (lambda x: x.astype(float), lambda x: (x == 1).astype(float)):
+            a, b = stat(sizes), stat(ref)
+            se = math.hypot(a.std(ddof=1), b.std(ddof=1)) / math.sqrt(runs)
+            assert abs(a.mean() - b.mean()) < 4 * se
+
+
+def test_batch_simulator_draws_pinned():
+    # recorded with the Poisson-splitting generation step: one Poisson
+    # total per parent block and child type, then per slice of children
+    # the parent ids, the ages and the uniforms
+    out = _simulate_batch(readme_config(100), np.arange(1000) % 2, 6.0, 1_000_000,
+                          stream(7, "pinned"))
+    digest = hashlib.sha256(b"".join(a.tobytes() for a in out)).hexdigest()
+    assert digest == "9b5074c889a37fe908802af3d55c5fc2e86182440e030991b6bd55e1da137356"
 
 
 def test_batch_simulator_rejects_offspring_means_past_int32():
@@ -464,10 +471,10 @@ def test_extinction_frequency_matches_survival():
 
 
 def test_extinction_frequency_value_pinned():
-    # recorded with the event-log simulator still in the package: the
-    # default stream and the draw order must not change
+    # recorded with the Poisson-splitting generation step: the default
+    # stream and the draw order must not change
     cfg = marked_config(100, 0.4, 3.0, 2.0, seed=5)
-    assert extinction_frequency(cfg, 2, 500, horizon=8.0) == 0.152
+    assert extinction_frequency(cfg, 2, 500, horizon=8.0) == 0.11
 
 
 # --------------------------------------------------------------------------

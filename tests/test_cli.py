@@ -218,14 +218,19 @@ def test_malformed_config(tmp_path, capsys, text):
     (("initial_infecteds",), {"vertices": [0.9]}, "initial_infecteds.vertices", None),
     (("initial_infecteds",), {"per_type": [[1.5, 1]]}, "initial_infecteds.per_type", None),
     (("initial_infecteds",), {"per_type": [[True, 1]]}, "initial_infecteds.per_type", None),
+    (("initial_infecteds",), {"per_type": [[1, True]]}, "initial_infecteds.per_type", None),
     (("seed",), True, "seed", None),
     (("kernel", "fast_pair"), [1.5, 1], "fast_pair", extremal_config(2000)),
     (("kernel", "fast_pair"), [True, 2], "fast_pair", extremal_config(2000)),
-], ids=["counts", "vertices", "per-type", "per-type-true", "seed-true", "fast-pair-1.5",
-        "fast-pair-true"])
+    (("population", "n"), 0, "population.n", None),
+    (("population", "counts"), [2**63, 1000], "population.counts", None),
+    (("initial_infecteds",), {"vertices": [2**63]}, "initial_infecteds.vertices", None),
+], ids=["counts", "vertices", "per-type", "per-type-true", "per-type-type-true", "seed-true",
+        "fast-pair-1.5", "fast-pair-true", "n-0", "counts-2**63", "vertices-2**63"])
 def test_non_integer_config_field_named(tmp_path, capsys, keys, value, field, cfg):
     # once silently truncated or read as 1: counts [800, 1199] then failed on
-    # their sum, fast_pair [1.5, 1] loaded as (1, 1) and "seed": true as 1
+    # their sum, fast_pair [1.5, 1] loaded as (1, 1) and "seed": true as 1;
+    # n = 0 and the 2**63 entries ended in a traceback with exit 1
     path = tmp_path / "bad.json"
     path.write_text(_edited(keys, value, cfg))
     rc = main(["simulate", "--config", str(path), "--replicates", "1",
@@ -493,18 +498,18 @@ def test_simulate_default_method_is_eager(tmp_path):
 
 
 def test_bp_estimate_outputs_byte_identical(tmp_path):
-    # Digests recorded with solve_malthusian's Perron roots taken by
-    # eigensolve.  2500 replicates put ~5000 first-generation subtrees in
-    # two batches.
+    # Digests recorded with the Poisson-splitting generation step of the
+    # branching simulator.  2500 replicates put ~5000 first-generation
+    # subtrees in two batches.
     argv = ["bp-estimate", "--replicates", "2500", "--horizon", "5", "--force"]
     names = ["bp_replicates.csv", "bp_summary.csv"]
     assert _readme_digests(tmp_path, 2000, argv + ["--type", "1"], names) == {
-        "bp_replicates.csv": "3de2f4f6ced88e6ac203412a95dcfde33add11379d0f3e8f6e58fc3d2cbe2a35",
-        "bp_summary.csv": "6772b66bc631dc322cfb1f0ded4d820c7d88892c50862e9068c842d9676acf0f",
+        "bp_replicates.csv": "f28e5ef5070bbd702458c1467a94cfc83193bb4a855fc30d0ee08fcf6e4de416",
+        "bp_summary.csv": "9ee11b54a5600d52a8ea49231677aa48df821322389637c4a12044c078e6e158",
     }
     assert _readme_digests(tmp_path, 2000, argv + ["--type", "2"], names) == {
-        "bp_replicates.csv": "31363efc053b2f65e935a54f7cdbe0153edf388c43fdf67435ea521ef7c2b5c0",
-        "bp_summary.csv": "1fd32245058c5e6dba0d11d53d35e1128245e5bdc49a94e5e4cb3ba9f8dfd88e",
+        "bp_replicates.csv": "1afb341e97a782ac98d43026e9a4c49b25c620d87e5275ff3cfb2ddab58b3301",
+        "bp_summary.csv": "fd0e8d90314966de8d4a1379a62d3437e169e41655e050a4d9da4eb749645efb",
     }
 
 

@@ -135,6 +135,14 @@ def test_population_type_lookup():
     assert np.array_equal(pop.type_array(), [0, 0, 0] + [1] * 7)
 
 
+@pytest.mark.parametrize("j", [True, np.True_])
+def test_population_type_index_refuses_bools(j):
+    # a bool is an int subclass, so True once passed as type 1
+    pop = PopulationSpec(n=10, counts=[3, 7], proportions=[0.3, 0.7])
+    with pytest.raises(DomainError):
+        pop.type_index(j)
+
+
 # --------------------------------------------------------------------------
 # validation
 # --------------------------------------------------------------------------
