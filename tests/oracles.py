@@ -5,7 +5,9 @@ package computes with ``scipy.sparse.csgraph``: forward shortest paths
 with the smaller-id predecessor tie-break, backward susceptibility
 snapshots, and restricted susceptibility set sizes.  A per-particle
 loop with a full event log does, one run at a time, what the batched
-branching-process simulator does by generation.  ``rho1_bounds`` and
+branching-process simulator does by generation; ``simulate_batch`` is
+that simulator's Poisson-splitting step over one flat particle array,
+whose draw order the block form must keep.  ``rho1_bounds`` and
 ``aggregate_mean_stderr`` are the earlier inline forms of Theorem 2's
 bounds and of the replicate mean and standard error, which ``analytic``
 now computes once each.
@@ -142,6 +144,69 @@ def _child_ages(rng, kern, child_type0: int, size: int) -> np.ndarray:
     lat = kern.latent[child_type0].sample(rng, size=size)
     iota = kern.infectious[child_type0].sample_size_biased(rng, size=size)
     return lat + iota * rng.random(size)
+
+
+def simulate_batch(config: ModelConfig, root_types0: np.ndarray, horizon: float,
+                   cap: int, rng: np.random.Generator, slice_len: int):
+    """Simulate independent backward runs generation by generation.
+
+    A generation is one flat array each of run ids, birth times and
+    block labels; block b holds the particles labelled b, of type
+    ``block_types[b]``: a stretch of equal root types in generation 0,
+    then the children of one type.  Per child type, each block of L
+    parents draws one Poisson(L m) total, then per ``slice_len`` children
+    their parents, ages and uniforms.  Returns (sizes, last_birth,
+    capped) per run; capped runs stop growing once their size exceeds
+    the cap.
+    """
+    kern = config.kernel
+    mb = backward_mean_matrix(config)
+    types0 = np.asarray(root_types0, dtype=np.int64)
+    n_runs = len(types0)
+    sizes = np.ones(n_runs, dtype=np.int64)
+    last_birth = np.zeros(n_runs)
+    capped = np.zeros(n_runs, dtype=bool)
+
+    run = np.arange(n_runs, dtype=np.int64)
+    times = np.zeros(n_runs)
+    first = np.diff(types0, prepend=-1) != 0
+    block = np.cumsum(first) - 1
+    block_types = types0[first].tolist()
+
+    while block_types:
+        next_run, next_times, next_block, next_types = [], [], [], []
+        members = [np.flatnonzero(block == b) for b in range(len(block_types))]
+        for i0 in range(config.k):
+            totals = [rng.poisson(mb[t, i0] * len(m)) for t, m in zip(block_types, members)]
+            kids_run, kids_birth = [], []
+            for m, total in zip(members, totals):
+                for at in range(0, total, slice_len):
+                    n = min(slice_len, total - at)
+                    parent = m[rng.integers(0, len(m), n)]
+                    birth = times[parent] + _child_ages(rng, kern, i0, n)
+                    keep = birth <= horizon
+                    kids_run.append(run[parent][keep])
+                    kids_birth.append(birth[keep])
+            if not sum(map(len, kids_run)):
+                continue
+            child_run = np.concatenate(kids_run)
+            birth = np.concatenate(kids_birth)
+            np.add.at(sizes, child_run, 1)
+            np.maximum.at(last_birth, child_run, birth)
+            next_run.append(child_run)
+            next_times.append(birth)
+            next_block.append(np.full(len(birth), len(next_types)))
+            next_types.append(i0)
+        capped |= sizes > cap
+        if not next_types:
+            break
+        run = np.concatenate(next_run)
+        times = np.concatenate(next_times)
+        block = np.concatenate(next_block)
+        block_types = next_types
+        alive = ~capped[run]
+        run, times, block = run[alive], times[alive], block[alive]
+    return sizes, last_birth, capped
 
 
 @dataclass

@@ -40,7 +40,7 @@ from conftest import (
     single_type_config,
     symmetric_marked_config,
 )
-from oracles import simulate_backward_bp
+from oracles import simulate_backward_bp, simulate_batch
 
 
 # --------------------------------------------------------------------------
@@ -257,6 +257,21 @@ def test_batch_simulator_invariants_and_determinism(case, stop_on_cap):
     assert repr(rng.bit_generator.state) == repr(again.bit_generator.state)
 
 
+@given(_batch_cases())
+@settings(max_examples=80, deadline=None)
+def test_batch_simulator_keeps_per_particle_draw_order(case):
+    # the block simulator draws exactly what the Poisson-splitting step
+    # over one flat particle array draws, in the same order, and leaves
+    # the stream in the same state
+    cfg, roots, horizon, cap, seed = case
+    ref_rng, rng = stream(seed, "order"), stream(seed, "order")
+    ref = simulate_batch(cfg, roots, horizon, cap, ref_rng, infector.branching._SLICE)
+    out = _simulate_batch(cfg, roots, horizon, cap, rng)
+    for a, b in zip(ref, out):
+        assert np.array_equal(a, b)
+    assert repr(ref_rng.bit_generator.state) == repr(rng.bit_generator.state)
+
+
 def test_batch_simulator_peak_memory():
     # 12 bytes per live particle plus one child type's draw temporaries;
     # the per-particle-array form peaked at about 17 MB on this call
@@ -303,6 +318,35 @@ def test_batch_simulator_slices_match_event_log_oracle(monkeypatch, slice_len):
             a, b = stat(sizes), stat(ref)
             se = math.hypot(a.std(ddof=1), b.std(ddof=1)) / math.sqrt(runs)
             assert abs(a.mean() - b.mean()) < 4 * se
+
+
+@pytest.mark.parametrize("slice_len", [1, 3, 7])
+@pytest.mark.parametrize("case", ["readme", "asymmetric", "gamma-latent", "capped"])
+def test_batch_simulator_slices_keep_draw_order(monkeypatch, slice_len, case):
+    # slices of a few children within each block: the block simulator's
+    # per-slice draws and kept pieces must match the flat-array form's
+    monkeypatch.setattr(infector.branching, "_SLICE", slice_len)
+    roots = np.array([0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1])
+    cfg, horizon, cap = {
+        "readme": (readme_config(100), 4.0, 1_000),
+        "asymmetric": (asymmetric_seir_config(n=100), 4.0, 1_000),
+        "gamma-latent": (marked_config(100, 0.4, 3.0, 2.0), 4.0, 1_000),
+        "capped": (readme_config(100), 6.0, 40),
+    }[case]
+    if case == "gamma-latent":
+        kern = cfg.kernel
+        cfg = ModelConfig(population=cfg.population,
+                          kernel=MarkedSingleProcess([Duration.gamma(2.0, 3.0)] * 2,
+                                                     kern.infectious, kern.total_rates),
+                          initial_infecteds=(0,))
+    ref_rng, rng = stream(17, "slices", slice_len), stream(17, "slices", slice_len)
+    ref = simulate_batch(cfg, roots, horizon, cap, ref_rng, slice_len)
+    out = _simulate_batch(cfg, roots, horizon, cap, rng)
+    assert out[0].sum() > 100  # blocks span many slices
+    assert out[2].any() == (case == "capped")
+    for a, b in zip(ref, out):
+        assert np.array_equal(a, b)
+    assert repr(ref_rng.bit_generator.state) == repr(rng.bit_generator.state)
 
 
 def test_batch_simulator_draws_pinned():
