@@ -1,10 +1,11 @@
 """Backward multi-type branching process: simulation, Malthusian rate,
 martingale-limit estimates, and the Monte Carlo attribution formula.
 
-Particles of type j bear type-i children at ages drawn from the
-kernel's contact-age law of type i, with Poisson((p_i/p_j) m_ij)
-counts; particles never die.  A kernel without that law, the extremal
-one, is refused before any draw.  The Malthusian parameter makes the
+Particles of type j bear type-i children with Poisson((p_i/p_j) m_ij)
+counts, at ages drawn by ``ContactAgeLaw.sample``: the latent period of
+type i plus the stationary excess of its infectious period.  Particles
+never die.  A kernel without that law, the extremal one, is refused
+before any draw.  The Malthusian parameter makes the
 Laplace-transformed backward mean matrix critical, and e^(-alpha t)
 times the population converges to the martingale limit W.
 
@@ -172,9 +173,7 @@ def _simulate_batch(config: ModelConfig, root_types0: np.ndarray, horizon: float
                 for at in range(0, total, _SLICE):
                     n = min(_SLICE, total - at)
                     parent = rng.integers(0, len(run), n)
-                    birth, lat = laws[i0].draw(rng, n)
-                    birth *= rng.random(n)
-                    birth += lat
+                    birth = laws[i0].sample(rng, n)
                     birth += times.take(parent)
                     kept = np.flatnonzero(birth <= horizon)
                     births.append(birth.take(kept))
@@ -324,8 +323,7 @@ def estimate_rho_bp(config: ModelConfig, j: int, R: int, horizon: Optional[float
         n_sel = int(sel.sum())
         if n_sel == 0:
             continue
-        biased, lat = config.kernel.contact_age(i0).draw(rng, n_sel)
-        tau[sel] = biased * rng.random(n_sel) + lat
+        tau[sel] = config.kernel.contact_age(i0).sample(rng, n_sel)
 
     w = _w_values(config, type_of, horizon, alpha, cap, rng)
     disc = np.exp(-alpha * tau) * w

@@ -158,6 +158,19 @@ class Duration:
             return np.full(size, self.value) if size is not None else self.value
         return rng.gamma(self.shape + 1.0, 1.0 / self.rate, size=size)
 
+    def sample_excess(self, rng: np.random.Generator, size=None):
+        """U * T* for U uniform on (0, 1) and T* length-biased: the stationary excess
+        P(T > t) / E[T]; at integer shape k <= 3, gamma(J, rate) with J uniform on 1..k."""
+        shape = 0.0 if self.kind == "constant" else self.shape
+        if shape == 1.0:
+            return rng.exponential(1.0 / self.rate, size=size)
+        if shape in (2.0, 3.0):  # the first J of k exponentials, J - 1 = floor(k U)
+            k = int(shape)
+            e = rng.standard_exponential((k,) if size is None else (k, size))
+            j = k * rng.random(size)
+            return sum((e[i] * (j >= i) for i in range(1, k)), e[0]) / self.rate
+        return self.sample_size_biased(rng, size=size) * rng.random(size)
+
 
 # --------------------------------------------------------------------------
 # population
@@ -215,8 +228,8 @@ class PopulationSpec:
 
 @dataclass(frozen=True)
 class ContactAgeLaw:
-    """Backward contact-age law of one type: L + U * I* for latent period L,
-    size-biased infectious period I* and U uniform on (0, 1)."""
+    """Backward contact-age law of one type: L + U * I* for latent period L, size-biased
+    infectious period I* and U uniform on (0, 1); U * I* is I's stationary excess."""
 
     latent: Duration
     infectious: Duration
@@ -249,13 +262,11 @@ class ContactAgeLaw:
             return self.infectious.mean()
         return self.latent.laplace(x) * (1.0 - self.infectious.laplace(x)) / x
 
-    def draw(self, rng: np.random.Generator, size: int):
-        """(biased, lat) of ``size`` ages lat + u * biased, drawn lat first, u after both.
-
-        ``lat`` is a scalar for a constant latent period."""
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` ages: the latent period, drawn first, plus I's ``sample_excess``."""
         latent = self.latent
         lat = latent.value if latent.kind == "constant" else latent.sample(rng, size=size)
-        return self.infectious.sample_size_biased(rng, size=size), lat
+        return self.infectious.sample_excess(rng, size=size) + lat
 
 
 @dataclass(frozen=True)

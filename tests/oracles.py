@@ -155,9 +155,9 @@ def simulate_batch(config: ModelConfig, root_types0: np.ndarray, horizon: float,
     ``block_types[b]``: a stretch of equal root types in generation 0,
     then the children of one type.  Per child type, each block of L
     parents draws one Poisson(L m) total, then per ``slice_len`` children
-    their parents, ages and uniforms.  Returns (sizes, last_birth,
-    capped) per run; capped runs stop growing once their size exceeds
-    the cap.
+    their parents and their ages (``ContactAgeLaw.sample``).  Returns
+    (sizes, last_birth, capped) per run; capped runs stop growing once
+    their size exceeds the cap.
     """
     kern = config.kernel
     mb = backward_mean_matrix(config)
@@ -183,7 +183,7 @@ def simulate_batch(config: ModelConfig, root_types0: np.ndarray, horizon: float,
                 for at in range(0, total, slice_len):
                     n = min(slice_len, total - at)
                     parent = m[rng.integers(0, len(m), n)]
-                    birth = times[parent] + _child_ages(rng, kern, i0, n)
+                    birth = times[parent] + kern.contact_age(i0).sample(rng, n)
                     keep = birth <= horizon
                     kids_run.append(run[parent][keep])
                     kids_birth.append(birth[keep])

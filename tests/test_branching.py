@@ -106,8 +106,7 @@ def test_contact_age_draw_matches_its_cdf_and_laplace(make_cfg, i0, seed):
     cfg = make_cfg()
     rng = np.random.default_rng(seed)
     size = 200_000
-    biased, lat = cfg.kernel.contact_age(i0).draw(rng, size)
-    ages = lat + rng.random(size) * biased
+    ages = cfg.kernel.contact_age(i0).sample(rng, size)
     for t in (0.25, 0.5, 1.0, 2.0, 4.0):
         f = eta_cdf(cfg, i0 + 1, 1, t)
         sigma = math.sqrt(f * (1.0 - f) / size)
@@ -352,11 +351,11 @@ def test_batch_simulator_slices_keep_draw_order(monkeypatch, slice_len, case):
 def test_batch_simulator_draws_pinned():
     # recorded with the Poisson-splitting generation step: one Poisson
     # total per parent block and child type, then per slice of children
-    # the parent ids, the ages and the uniforms
+    # the parent ids and the ages (ContactAgeLaw.sample)
     out = _simulate_batch(readme_config(100), np.arange(1000) % 2, 6.0, 1_000_000,
                           stream(7, "pinned"))
     digest = hashlib.sha256(b"".join(a.tobytes() for a in out)).hexdigest()
-    assert digest == "9b5074c889a37fe908802af3d55c5fc2e86182440e030991b6bd55e1da137356"
+    assert digest == "deb228bb54bd4839557e3fe182eb0c1b3f651b58a19f12982cc5d06204ff4e63"
 
 
 def test_batch_simulator_rejects_offspring_means_past_int32():
@@ -515,10 +514,11 @@ def test_extinction_frequency_matches_survival():
 
 
 def test_extinction_frequency_value_pinned():
-    # recorded with the Poisson-splitting generation step: the default
-    # stream and the draw order must not change
+    # recorded with the Poisson-splitting generation step and ages drawn
+    # through ContactAgeLaw.sample: the default stream and the draw order
+    # must not change
     cfg = marked_config(100, 0.4, 3.0, 2.0, seed=5)
-    assert extinction_frequency(cfg, 2, 500, horizon=8.0) == 0.11
+    assert extinction_frequency(cfg, 2, 500, horizon=8.0) == 0.144
 
 
 # --------------------------------------------------------------------------

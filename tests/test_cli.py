@@ -240,6 +240,58 @@ def test_non_integer_config_field_named(tmp_path, capsys, keys, value, field, cf
     assert err.count("\n") == 1 and err.startswith("error:") and field in err
 
 
+# Each leaf of the fuzzed config is replaced by each of these, or deleted.
+_FUZZ_VALUES = [True, False, "x", None, [], {}, math.nan, math.inf, -math.inf, -1, 0, 1.5,
+                1e308, 2**70]
+_DELETE = object()
+
+
+def _leaves(node, keys=()):
+    """Key paths to every non-container value of a JSON tree."""
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _leaves(child, keys + (key,))
+    else:
+        yield keys
+
+
+def test_config_fuzz_single_mutations_exit_cleanly(tmp_path, capsys):
+    # every single-leaf mutation of the README config at n = 200, through
+    # three subcommands: each run ends with a mapped exit code, no exception
+    # escapes main, and a usage error prints exactly one error: line
+    base = readme_scenario(200)
+    path, out = tmp_path / "fuzz.json", ["--output-dir", str(tmp_path / "o"), "--force"]
+    commands = [["bounds"], ["simulate", "--replicates", "1"] + out,
+                ["bp-estimate", "--type", "1", "--replicates", "2", "--horizon", "2"] + out]
+    bad, runs, reached = [], 0, set()
+    for keys in list(_leaves(base)):
+        for value in _FUZZ_VALUES + [_DELETE]:
+            d = json.loads(json.dumps(base))
+            node = d
+            for key in keys[:-1]:
+                node = node[key]
+            if value is _DELETE:
+                del node[keys[-1]]
+            else:
+                node[keys[-1]] = value
+            path.write_text(json.dumps(d))
+            for argv in commands:
+                runs += 1
+                try:
+                    rc = main(argv + ["--config", str(path)])
+                except Exception as exc:  # an escape is a finding, not a crash of the sweep
+                    rc = repr(exc)
+                err = capsys.readouterr().err
+                reached.add((argv[0], rc))
+                if rc not in (0, 1, 2, 3) or (
+                        rc == 2 and not (err.count("\n") == 1 and err.startswith("error:"))):
+                    bad.append((keys, "delete" if value is _DELETE else value, argv[0], rc, err))
+    assert runs == 21 * 15 * 3
+    assert not bad, bad[:10]
+    # bounds refuses every markov_seir kernel; the other two do real work
+    assert {("simulate", 0), ("bp-estimate", 0)} <= reached
+
+
 @pytest.mark.parametrize("case", ["config-is-dir", "output-dir-is-file",
                                   "grid-a", "grid-comma", "sweep-seed"])
 def test_bad_paths_and_grids_are_usage_errors(tmp_path, capsys, case):
@@ -499,17 +551,18 @@ def test_simulate_default_method_is_eager(tmp_path):
 
 def test_bp_estimate_outputs_byte_identical(tmp_path):
     # Digests recorded with the Poisson-splitting generation step of the
-    # branching simulator.  2500 replicates put ~5000 first-generation
-    # subtrees in two batches.
+    # branching simulator and ages drawn through ContactAgeLaw.sample,
+    # the infectious period's stationary excess.  2500 replicates put
+    # ~5000 first-generation subtrees in two batches.
     argv = ["bp-estimate", "--replicates", "2500", "--horizon", "5", "--force"]
     names = ["bp_replicates.csv", "bp_summary.csv"]
     assert _readme_digests(tmp_path, 2000, argv + ["--type", "1"], names) == {
-        "bp_replicates.csv": "f28e5ef5070bbd702458c1467a94cfc83193bb4a855fc30d0ee08fcf6e4de416",
-        "bp_summary.csv": "9ee11b54a5600d52a8ea49231677aa48df821322389637c4a12044c078e6e158",
+        "bp_replicates.csv": "8ec623c05efda31d3cbc06fa328814d007172eb58db0a3b8a760fbc691fada24",
+        "bp_summary.csv": "214d1a55f6d9f69b22fcfcd38d72baab148a94b888a56eabb249a7287eac60b1",
     }
     assert _readme_digests(tmp_path, 2000, argv + ["--type", "2"], names) == {
-        "bp_replicates.csv": "1afb341e97a782ac98d43026e9a4c49b25c620d87e5275ff3cfb2ddab58b3301",
-        "bp_summary.csv": "fd0e8d90314966de8d4a1379a62d3437e169e41655e050a4d9da4eb749645efb",
+        "bp_replicates.csv": "8032f10b16a4aa437d0a33474858475d17c3f631bd89bdeb2a3a0c3cc3fb6edb",
+        "bp_summary.csv": "3d494ea8cc0e46694e1c228ca7089531d7bb610e990a2a805c60159d3e0803ce",
     }
 
 
