@@ -487,6 +487,11 @@ def validate_config(config: ModelConfig) -> list:
                 report.append(
                     Violation("irreducibility", "positivity pattern of the mean matrix is reducible")
                 )
+        for i0, (lat, iota) in enumerate(zip(kern.latent, kern.infectious)):
+            # contact times L + U * I round to a few floats, which repeat in a list
+            if iota.mean() > 0 and np.spacing(lat.mean()) > 2.0**-24 * iota.mean():
+                report.append(Violation("weight-resolution", f"latent[{i0}]: mean {lat.mean():.6g} "
+                                        f"too large for a mean infectious period {iota.mean():.6g}"))
 
     v_init = config.v_init()
     if len(v_init) < 1:

@@ -3,7 +3,8 @@
 Infection times are multi-source shortest-path distances from the seed
 set on the epidemic graph; the infector of a vertex is its shortest-path
 predecessor.  The eager engine, the default of ``replicate_records`` and
-``replicate_rho``, materializes the graph and runs one shortest-path
+``replicate_rho``, builds the graph outward from the seeds (a minor
+outbreak draws only the lists it reaches) and runs one shortest-path
 search.  The lazy engine (``method="lazy"``) samples contact lists only
 for vertices that actually become infected.  Both engines draw through
 ``graph.draw_out_edges``; the lazy one draws its lists in pools per
@@ -208,7 +209,8 @@ def _one_replicate(config: ModelConfig, master_seed: int, index: int, threshold:
                    method: str) -> dict:
     rng = rngmod.stream(master_seed, "replicate", index)
     if method == "eager":
-        result = run_epidemic(build_graph(config, rng), config.v_init())
+        seeds = _seed_vertices(config.initial_infecteds, config.n)
+        result = run_epidemic(build_graph(config, rng, seeds=seeds), seeds)
     elif method == "lazy":
         result = run_epidemic_lazy(config, rng)
     else:

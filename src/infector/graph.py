@@ -5,16 +5,17 @@ out-edges toward type j are the points of one contact-process draw
 (truncated at n_j), with head labels chosen uniformly without
 replacement from the type-j vertices and edge weights equal to the point
 ages.  ``draw_out_edges`` is the one place that draws this law: the
-build calls it once per type for all of that type's vertices, and the
-lazy forward engine calls it for pools of lists that it hands out as
-vertices become infected.  Graphs are immutable after construction and
-stored in CSR form.
+build calls it per type, on every vertex or on the vertices reached
+outward from seeds, and the lazy forward engine calls it for pools of
+lists that it hands out as vertices become infected.  Graphs are
+immutable after construction and stored in CSR form.
 
 What a graph holds: the forward CSR in (tail, weight) order (int64 row
 pointers and heads, float64 weights: 8 B per vertex and 16 B per edge),
 the transpose once ``reverse_csr`` has been asked for (int32 ids: 4 B
 per vertex and 12 B per edge) and at most one restricted view of the
-transpose.  ``build_graph`` draws the edges in per-type blocks and frees
+transpose.  A seeded build of a minor outbreak holds only the lists its
+seeds reach.  ``build_graph`` draws the edges in blocks and frees
 each block list as it is joined; ``_assemble`` then orders the edges
 with two sorts and frees each unsorted array as its sorted copy is
 made, so the build peaks at 1.8 to 1.9 times the finished forward CSR
@@ -127,6 +128,7 @@ def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
 
 # Slice length of the rank scatter in _assemble.
 _SLICE = 1 << 14
+_REVEAL = 6  # contact lists a seeded build draws outward before it draws them all
 
 
 def _assemble(population: PopulationSpec, tails, heads, weights, realized_seed) -> EpidemicGraph:
@@ -153,12 +155,14 @@ def _assemble(population: PopulationSpec, tails, heads, weights, realized_seed) 
     by_weight = np.argsort(weights)
     for lo in range(0, m, _SLICE):
         key[by_weight[lo:lo + _SLICE]] += np.arange(lo, min(lo + _SLICE, m))
+    # Once sorted, key % m is the weight rank at each place; by_weight maps it to the edge.
+    key.sort()
+    for lo in range(0, m, _SLICE):
+        key[lo:lo + _SLICE] = by_weight[key[lo:lo + _SLICE] % m]
     del by_weight
-    order = np.argsort(key)
+    heads = heads[key]
+    weights = weights[key]
     del key
-    heads = heads[order]
-    weights = weights[order]
-    del order
     # A repeated weight is an error only when both edges share a row.
     same = np.flatnonzero(weights[1:] == weights[:-1])
     if (np.searchsorted(indptr, same, side="right")
@@ -173,19 +177,21 @@ def _assemble(population: PopulationSpec, tails, heads, weights, realized_seed) 
     )
 
 
-def _draw_heads_without_replacement(rng, base: int, n_j: int, counts: np.ndarray) -> np.ndarray:
+def _draw_heads_without_replacement(rng, base: int, n_j: int, counts: np.ndarray,
+                                    rows: Optional[np.ndarray] = None) -> np.ndarray:
     """Head labels for each tail group: ``counts[g]`` distinct vertices of a type.
 
     A with-replacement draw conditioned on within-group distinctness has
     exactly the without-replacement law, so the vectorized attempt is
     kept where it has no collisions and redrawn sequentially otherwise.
+    ``rows`` is the group of each head, when the caller has it.
     """
     total = int(counts.sum())
     heads = rng.integers(base, base + n_j, size=total)
     if counts.size == 0 or counts.max() <= 1:
         return heads
     # A collision is a repeated (group, head) pair: a repeated packed key.
-    key = np.repeat(np.arange(0, len(counts) * n_j, n_j), counts)
+    key = (np.repeat(np.arange(len(counts)), counts) if rows is None else rows) * n_j
     key += heads
     key -= base
     key.sort()
@@ -206,18 +212,34 @@ def _draw_heads_without_replacement(rng, base: int, n_j: int, counts: np.ndarray
     return heads
 
 
-def build_graph(config: ModelConfig, rng: Optional[np.random.Generator] = None) -> EpidemicGraph:
+def build_graph(config: ModelConfig, rng: Optional[np.random.Generator] = None,
+                seeds=None) -> EpidemicGraph:
     """Materialize a graph realization for a configuration.
 
     Identical (config, seed) pairs produce bit-identical graphs when no
-    explicit generator is passed.
+    explicit generator is passed.  Given ``seeds``, lists are drawn
+    outward from them round by round, and the round that would pass
+    ``_REVEAL`` lists draws all the rest.  Lists are i.i.d. given the
+    tail's type, so what the seeds reach has the law of the full build.
     """
     if rng is None:
         rng = rngmod.stream(config.seed, "graph")
     tails, heads, weights = [], [], []
     pop = config.population
-    for i0 in range(pop.k):
-        draw_out_edges(config, rng, i0, pop.vertices_of_type(i0), tails, heads, weights)
+    drawn = np.zeros(pop.n, dtype=bool)
+    new = np.arange(pop.n) if seeds is None else np.unique(seeds)
+    while new.size:
+        if np.count_nonzero(drawn) + new.size > _REVEAL:
+            new = np.flatnonzero(~drawn)
+        drawn[new] = True
+        first = len(heads)
+        cuts = np.searchsorted(new, pop.boundaries).tolist()
+        for i0 in np.flatnonzero(np.diff(cuts)).tolist():
+            draw_out_edges(config, rng, i0, new[cuts[i0]:cuts[i0 + 1]], tails, heads, weights)
+        if drawn.all():
+            break
+        reached = np.concatenate([np.empty(0, np.int64)] + heads[first:])
+        new = np.unique(reached[~drawn[reached]])
     # The joined arrays are passed on with no other reference, so _assemble
     # can free each one as soon as it is done with it.
     return _assemble(pop, _join(tails), _join(heads), _join(weights),
@@ -250,15 +272,16 @@ def draw_out_edges(config: ModelConfig, rng, i0: int, ids, tail_blocks, head_blo
         total = int(counts.sum())
         if total == 0:
             continue
-        tail_blocks.append(np.repeat(ids, counts))
+        rows = np.repeat(np.arange(n_i), counts)  # the position in ids of each edge's tail
+        tail_blocks.append(ids[rows])
         start, length = kern.contact_window(pop.n, i0, j0, lat, iota)
         # start + length * u, computed in place on the uniform draws
         weights = rng.random(total)
-        weights *= np.repeat(length, counts)
-        weights += np.repeat(start, counts)
+        weights *= length[rows]
+        weights += start[rows]
         weight_blocks.append(weights)
         head_blocks.append(
-            _draw_heads_without_replacement(rng, int(pop.boundaries[j0]), n_j, counts))
+            _draw_heads_without_replacement(rng, int(pop.boundaries[j0]), n_j, counts, rows))
 
 
 def _join(blocks: list) -> np.ndarray:

@@ -15,6 +15,7 @@ import pytest
 
 import infector
 import infector.cli
+import infector.graph
 from infector import forward
 from infector.analytic import analytic_report
 from infector.backward import explore_susceptibility, restricted_susceptibility_size
@@ -257,39 +258,62 @@ def _leaves(node, keys=()):
 
 def test_config_fuzz_single_mutations_exit_cleanly(tmp_path, capsys):
     # every single-leaf mutation of the README config at n = 200, through
-    # three subcommands: each run ends with a mapped exit code, no exception
+    # three subcommands, and of the symmetric marked and extremal configs
+    # through simulate: each run ends with a mapped exit code, no exception
     # escapes main, and a usage error prints exactly one error: line
-    base = readme_scenario(200)
     path, out = tmp_path / "fuzz.json", ["--output-dir", str(tmp_path / "o"), "--force"]
-    commands = [["bounds"], ["simulate", "--replicates", "1"] + out,
-                ["bp-estimate", "--type", "1", "--replicates", "2", "--horizon", "2"] + out]
+    bounds, simulate = ["bounds"], ["simulate", "--replicates", "1"] + out
+    bp = ["bp-estimate", "--type", "1", "--replicates", "2", "--horizon", "2"] + out
+    cases = [("readme", readme_scenario(200), [bounds, simulate, bp]),
+             ("marked", config_to_dict(symmetric_marked_config(200)), [simulate]),
+             ("extremal", config_to_dict(extremal_config(200)), [simulate])]
     bad, runs, reached = [], 0, set()
-    for keys in list(_leaves(base)):
-        for value in _FUZZ_VALUES + [_DELETE]:
-            d = json.loads(json.dumps(base))
-            node = d
-            for key in keys[:-1]:
-                node = node[key]
-            if value is _DELETE:
-                del node[keys[-1]]
-            else:
-                node[keys[-1]] = value
-            path.write_text(json.dumps(d))
-            for argv in commands:
-                runs += 1
-                try:
-                    rc = main(argv + ["--config", str(path)])
-                except Exception as exc:  # an escape is a finding, not a crash of the sweep
-                    rc = repr(exc)
-                err = capsys.readouterr().err
-                reached.add((argv[0], rc))
-                if rc not in (0, 1, 2, 3) or (
-                        rc == 2 and not (err.count("\n") == 1 and err.startswith("error:"))):
-                    bad.append((keys, "delete" if value is _DELETE else value, argv[0], rc, err))
-    assert runs == 21 * 15 * 3
+    for name, base, commands in cases:
+        for keys in list(_leaves(base)):
+            for value in _FUZZ_VALUES + [_DELETE]:
+                d = json.loads(json.dumps(base))
+                node = d
+                for key in keys[:-1]:
+                    node = node[key]
+                if value is _DELETE:
+                    del node[keys[-1]]
+                else:
+                    node[keys[-1]] = value
+                path.write_text(json.dumps(d))
+                for argv in commands:
+                    runs += 1
+                    try:
+                        rc = main(argv + ["--config", str(path)])
+                    except Exception as exc:  # an escape is a finding, not a crash of the sweep
+                        rc = repr(exc)
+                    err = capsys.readouterr().err
+                    reached.add((name, argv[0], rc))
+                    if rc not in (0, 1, 2, 3) or (
+                            rc == 2 and not (err.count("\n") == 1 and err.startswith("error:"))):
+                        bad.append((name, keys, "delete" if value is _DELETE else value,
+                                    argv[0], rc, err))
+    assert runs == (21 * 3 + 18 + 21) * 15
     assert not bad, bad[:10]
-    # bounds refuses every markov_seir kernel; the other two do real work
-    assert {("simulate", 0), ("bp-estimate", 0)} <= reached
+    # bounds refuses every markov_seir kernel; the other runs do real work
+    assert {("readme", "simulate", 0), ("readme", "bp-estimate", 0),
+            ("marked", "simulate", 0), ("extremal", "simulate", 0)} <= reached
+
+
+@pytest.mark.parametrize("value", [1e308, 2**70], ids=["1e308", "2**70"])
+@pytest.mark.parametrize("command", [["simulate", "--replicates", "4"],
+                                     ["bp-estimate", "--type", "1", "--replicates", "2",
+                                      "--horizon", "2"]], ids=["simulate", "bp-estimate"])
+def test_unresolvable_latent_period_is_usage_error(tmp_path, capsys, value, command):
+    # contact times L + U * I all round to L: simulate once exited 3 with
+    # "resample with a new seed", which no seed can satisfy
+    path = tmp_path / "latent.json"
+    scenario = readme_scenario(200)
+    scenario["kernel"]["latent"][0]["value"] = value
+    path.write_text(json.dumps(scenario))
+    rc = main(command + ["--config", str(path), "--output-dir", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and "latent[0]" in err
 
 
 @pytest.mark.parametrize("case", ["config-is-dir", "output-dir-is-file",
@@ -519,15 +543,23 @@ def _readme_digests(tmp_path, n, argv, names):
             for name in names}
 
 
-def test_shortest_path_outputs_byte_identical(tmp_path):
+def test_shortest_path_outputs_byte_identical(tmp_path, monkeypatch):
     # Digests recorded with the heap-loop shortest paths this package
     # used before scipy.sparse.csgraph; a fixed seed must reproduce them.
-    eager = _readme_digests(tmp_path, 2000,
-                            ["simulate", "--method", "eager", "--replicates", "20"],
-                            ["replicates.csv", "summary.csv"])
+    # They predate the seeded build, which draws them again at a budget of 0.
+    argv = ["simulate", "--method", "eager", "--replicates", "20", "--force"]
+    names = ["replicates.csv", "summary.csv"]
+    with monkeypatch.context() as patch:
+        patch.setattr(infector.graph, "_REVEAL", 0)
+        eager = _readme_digests(tmp_path, 2000, argv, names)
     assert eager == {
         "replicates.csv": "b8765cd2ee93329dfbd6284cea0a996d6bc2c9a8b2e44732e8c01c621c21c571",
         "summary.csv": "a94311d90897f9bf7db704be7b747ff760a60f2fdd0b4405156293e93037047d",
+    }
+    # recorded with the seeded build at its default budget
+    assert _readme_digests(tmp_path, 2000, argv, names) == {
+        "replicates.csv": "0f415f12ae9bb858aa31104f16e42d558f6ef5060ad200ebb18b3a66cc930871",
+        "summary.csv": "057480cef9c38930456be97305103edf4ddc62f1e2dbe2e7159814de34a1a91a",
     }
     backward = _readme_digests(tmp_path, 20000,
                                ["backward", "--roots-per-type", "10", "--t-star", "4"],

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import infector.graph
 from infector.config import Duration, MarkovSEIR, ModelConfig, PopulationSpec
 from infector.errors import ConfigError, NumericError
+from infector.forward import run_epidemic
 from infector.graph import (
     FIG1_LABELS,
     _assemble,
@@ -143,6 +145,44 @@ def test_build_byte_identical_with_sequential_redraw():
         "forward": "0d6ce9bbcd2fdb95ea9eab73f6d1d5edf8fcebdaf24219d020c7e768d7bc797e",
         "reverse": "06b3df59777cc38960905bdc69a2e7529673ebc20594b3580b9cd631f774f25f",
     }
+
+
+def test_seeded_build_at_budget_zero_is_the_unseeded_build(monkeypatch):
+    monkeypatch.setattr(infector.graph, "_REVEAL", 0)
+    for cfg in (readme_config(2000), extremal_config(n=2000, seed=19)):
+        for r in range(3):
+            seeded = build_graph(cfg, stream(cfg.seed, "replicate", r), seeds=cfg.v_init())
+            assert _digests(seeded) == _digests(build_graph(cfg, stream(cfg.seed, "replicate", r)))
+
+
+def test_seeded_build_of_a_minor_outbreak_holds_only_the_reached_lists(monkeypatch):
+    # an outbreak that ends within the budget draws the lists of exactly the
+    # vertices it infects, so every tail and every head is infected; any
+    # other build draws every list
+    drawn = []
+
+    def recording(config, rng, i0, ids, *blocks):
+        drawn.append(np.asarray(ids).copy())
+        draw_out_edges(config, rng, i0, ids, *blocks)
+
+    monkeypatch.setattr(infector.graph, "draw_out_edges", recording)
+    cfg = readme_config(2000)
+    seeds = cfg.v_init()
+    minor = 0
+    for r in range(40):
+        drawn.clear()
+        g = build_graph(cfg, stream(cfg.seed, "replicate", r), seeds=seeds)
+        ids = np.concatenate(drawn)
+        assert len(np.unique(ids)) == len(ids)  # no list is drawn twice
+        if len(ids) == cfg.n:
+            continue
+        minor += 1
+        tails, heads, _ = g.edge_list()
+        infected = np.isfinite(run_epidemic(g, seeds).sigma)
+        assert len(ids) <= infector.graph._REVEAL
+        assert np.array_equal(np.sort(ids), np.flatnonzero(infected))
+        assert infected[tails].all() and infected[heads].all()
+    assert 5 <= minor < 40
 
 
 def test_edge_order_matches_lexsort():
