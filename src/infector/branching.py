@@ -203,6 +203,9 @@ def _check_bp_args(config: ModelConfig, root_type: int, R: int, horizon: float,
     j0 = config.population.type_index(root_type)
     if R < 1:
         raise DomainError("need at least one replicate")
+    max_r = np.iinfo(np.intp).max // (8 * config.k)  # numpy cannot size a larger R x K int64 array
+    if R > max_r:
+        raise DomainError(f"replicates must be at most {max_r}, got {R}")
     if not 0 < horizon < np.inf:
         raise DomainError(f"horizon must be finite and positive, got {horizon}")
     if cap < 1:

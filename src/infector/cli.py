@@ -8,7 +8,7 @@ the config hash and seed; existing files are never overwritten without
 output a subcommand declares before any work, so a bad config or an
 existing output exits 2 with nothing written.  Exit status: 0 all
 verdicts pass, 1 verdict failure, 2 usage, configuration or path error,
-3 numeric failure.
+3 numeric failure or out of memory.
 """
 
 from __future__ import annotations
@@ -326,9 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--replicates", type=int, required=True)
     s.add_argument("--threshold", type=float, default=0.05)
     s.add_argument("--method", choices=["eager", "lazy"], default="eager",
-                   help="forward engine: eager builds each replicate's graph; "
-                        "lazy draws contacts only for infected vertices "
-                        "(same law, different draws)")
+                   help="reveal budget of the seeded build: eager draws every "
+                        "contact list once an outbreak passes a few; lazy draws "
+                        "only the infected vertices' lists (same law, different draws)")
     s.add_argument("--threads", type=int, default=1)
     s.set_defaults(func=cmd_simulate, outputs=("replicates.csv", "summary.csv"))
 
@@ -408,6 +408,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except InfectorError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

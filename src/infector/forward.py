@@ -2,21 +2,17 @@
 
 Infection times are multi-source shortest-path distances from the seed
 set on the epidemic graph; the infector of a vertex is its shortest-path
-predecessor.  The eager engine, the default of ``replicate_records`` and
-``replicate_rho``, builds the graph outward from the seeds (a minor
-outbreak draws only the lists it reaches) and runs one shortest-path
-search.  The lazy engine (``method="lazy"``) samples contact lists only
-for vertices that actually become infected.  Both engines draw through
-``graph.draw_out_edges``; the lazy one draws its lists in pools per
-type: the same law from different draws, with memory that grows with
-the number of infected.
+predecessor.  One engine runs every replicate: ``graph.build_graph``
+draws the graph outward from the seeds and one shortest-path search
+runs on it.  The default method, ``"eager"``, draws every contact list
+once an outbreak passes ``graph._REVEAL`` of them; ``"lazy"``
+(``run_epidemic_lazy``) never does, so it draws exactly the lists of
+the vertices that become infected: the same law from different draws.
 """
 
 from __future__ import annotations
 
-import heapq
 import os
-from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -28,7 +24,7 @@ from ._kernels import dijkstra
 from .analytic import mean_stderr
 from .config import ModelConfig
 from .errors import DomainError, NoDataError
-from .graph import EpidemicGraph, build_graph, draw_out_edges
+from .graph import EpidemicGraph, build_graph
 
 __all__ = [
     "OutbreakResult",
@@ -109,77 +105,16 @@ def run_epidemic(graph: EpidemicGraph, v_init) -> OutbreakResult:
     return _summarize(graph.population, dist, pred)
 
 
-# Contact lists the lazy engine draws per type at a time.
-_POOL = 1024
-
-
-def _contact_lists(config: ModelConfig, rng, i0: int) -> list:
-    """Fresh type-i0 contact lists, as (heads, weights) pairs of Python lists.
-
-    At most one per type-i0 vertex is drawn, since no vertex is exposed twice.
-    """
-    size = min(_POOL, int(config.population.counts[i0]))
-    tails, heads, weights = [], [], []
-    draw_out_edges(config, rng, i0, np.arange(size), tails, heads, weights)
-    if not tails:
-        return [((), ())] * size
-    # Each block is in slot order, so a stable sort groups the edges by slot.
-    tails = np.concatenate(tails)
-    order = np.argsort(tails, kind="stable")
-    ends = np.cumsum(np.bincount(tails, minlength=size)).tolist()
-    heads = np.concatenate(heads)[order].tolist()
-    weights = np.concatenate(weights)[order].tolist()
-    return [(heads[lo:hi], weights[lo:hi]) for lo, hi in zip([0] + ends, ends)]
-
-
 def run_epidemic_lazy(config: ModelConfig, rng: Optional[np.random.Generator] = None) -> OutbreakResult:
-    """Event-driven epidemic: contact lists drawn only upon infection.
+    """Epidemic on a graph that holds only the infected vertices' contact lists.
 
-    Distributionally identical to ``run_epidemic(build_graph(config))``:
-    the lists come from the same ``draw_out_edges``, drawn in pools of
-    ``_POOL`` per type, and each newly infected vertex takes the next
-    unused list of its type.  Memory is proportional to the number of
-    infected vertices.
+    The seeded build with no reveal budget: every list the seeds reach
+    is drawn, and no other, so memory grows with the number of infected.
     """
     if rng is None:
         rng = rngmod.stream(config.seed, "lazy")
-    pop = config.population
-    n = pop.n
-    bounds = pop.boundaries.tolist()
-    pools = [[] for _ in range(pop.k)]
-
-    sigma = np.full(n, np.inf)
-    infector = np.full(n, -1, dtype=np.int64)
-    infected = bytearray(n)
-    v_init = _seed_vertices(config.initial_infecteds, n)
-
-    heap = []
-
-    def expose(v: int, t: float) -> None:
-        i0 = bisect_right(bounds, v) - 1
-        if not pools[i0]:
-            pools[i0] = _contact_lists(config, rng, i0)
-        heads, weights = pools[i0].pop()
-        for h, w in zip(heads, weights):
-            if not infected[h]:
-                heapq.heappush(heap, (t + w, v, h))
-
-    for s in v_init.tolist():
-        sigma[s] = 0.0
-        infected[s] = 1
-    for s in v_init.tolist():
-        expose(s, 0.0)
-
-    while heap:
-        t, u, v = heapq.heappop(heap)
-        if infected[v]:
-            continue
-        infected[v] = 1
-        sigma[v] = t
-        infector[v] = u
-        expose(v, t)
-
-    return _summarize(pop, sigma, infector)
+    seeds = _seed_vertices(config.initial_infecteds, config.n)
+    return run_epidemic(build_graph(config, rng, seeds=seeds, reach_only=True), seeds)
 
 
 def attribute_infectors(result: OutbreakResult) -> np.ndarray:

@@ -4,22 +4,22 @@ A graph realization assigns to every vertex its typed contact list: the
 out-edges toward type j are the points of one contact-process draw
 (truncated at n_j), with head labels chosen uniformly without
 replacement from the type-j vertices and edge weights equal to the point
-ages.  ``draw_out_edges`` is the one place that draws this law: the
-build calls it per type, on every vertex or on the vertices reached
-outward from seeds, and the lazy forward engine calls it for pools of
-lists that it hands out as vertices become infected.  Graphs are
-immutable after construction and stored in CSR form.
+ages.  ``draw_out_edges`` is the one place that draws this law, and
+``build_graph`` its one caller: per type, on every vertex or on the
+vertices reached outward from seeds.  Graphs are immutable after
+construction and stored in CSR form.
 
 What a graph holds: the forward CSR in (tail, weight) order (int64 row
 pointers and heads, float64 weights: 8 B per vertex and 16 B per edge),
 the transpose once ``reverse_csr`` has been asked for (int32 ids: 4 B
 per vertex and 12 B per edge) and at most one restricted view of the
-transpose.  A seeded build of a minor outbreak holds only the lists its
-seeds reach.  ``build_graph`` draws the edges in blocks and frees
-each block list as it is joined; ``_assemble`` then orders the edges
-with two sorts and frees each unsorted array as its sorted copy is
-made, so the build peaks at 1.8 to 1.9 times the finished forward CSR
-(tracemalloc, README kernel at n = 5e4 to 2e5).  ``scipy.sparse`` is
+transpose.  A seeded build of a minor outbreak, or any seeded build
+with ``reach_only``, holds only the lists its seeds reach.
+``build_graph`` draws the edges in blocks and frees each block list
+as it is joined; ``_assemble`` then orders the edges with two sorts
+and frees each unsorted array as its sorted copy is made, so the
+build peaks at 1.8 to 1.9 times the finished forward CSR (tracemalloc,
+README kernel at n = 5e4 to 2e5).  ``scipy.sparse`` is
 imported only inside the two methods that build a transpose, so a
 process that never searches a graph does not load it.
 """
@@ -213,14 +213,16 @@ def _draw_heads_without_replacement(rng, base: int, n_j: int, counts: np.ndarray
 
 
 def build_graph(config: ModelConfig, rng: Optional[np.random.Generator] = None,
-                seeds=None) -> EpidemicGraph:
+                seeds=None, reach_only: bool = False) -> EpidemicGraph:
     """Materialize a graph realization for a configuration.
 
     Identical (config, seed) pairs produce bit-identical graphs when no
     explicit generator is passed.  Given ``seeds``, lists are drawn
     outward from them round by round, and the round that would pass
-    ``_REVEAL`` lists draws all the rest.  Lists are i.i.d. given the
-    tail's type, so what the seeds reach has the law of the full build.
+    ``_REVEAL`` lists draws all the rest; with ``reach_only`` no round
+    does, so exactly the lists of the vertices the seeds reach are
+    drawn.  Lists are i.i.d. given the tail's type, so what the seeds
+    reach has the law of the full build.
     """
     if rng is None:
         rng = rngmod.stream(config.seed, "graph")
@@ -229,7 +231,7 @@ def build_graph(config: ModelConfig, rng: Optional[np.random.Generator] = None,
     drawn = np.zeros(pop.n, dtype=bool)
     new = np.arange(pop.n) if seeds is None else np.unique(seeds)
     while new.size:
-        if np.count_nonzero(drawn) + new.size > _REVEAL:
+        if not reach_only and np.count_nonzero(drawn) + new.size > _REVEAL:
             new = np.flatnonzero(~drawn)
         drawn[new] = True
         first = len(heads)

@@ -179,6 +179,30 @@ def test_no_unused_imports_in_src():
     assert unused == []
 
 
+def test_no_unreferenced_private_names_in_src():
+    # every module-level private function, class or constant is used
+    # somewhere in the package, so a deleted path leaves nothing behind
+    defined, used = [], set()
+    for name, tree in _package_trees():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, ast.Assign):
+                targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                targets = [node.target.id]
+            else:
+                targets = []
+            defined += [(name, t) for t in targets if t.startswith("_") and not t.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert ("graph.py", "_REVEAL") in defined
+    assert [f"{name}: {t}" for name, t in defined if t not in used] == []
+
+
 def test_missing_config_file(tmp_path):
     rc = main(["simulate", "--config", str(tmp_path / "nope.json"),
                "--replicates", "1", "--output-dir", str(tmp_path / "o")])
@@ -258,15 +282,21 @@ def _leaves(node, keys=()):
 
 def test_config_fuzz_single_mutations_exit_cleanly(tmp_path, capsys):
     # every single-leaf mutation of the README config at n = 200, through
-    # three subcommands, and of the symmetric marked and extremal configs
-    # through simulate: each run ends with a mapped exit code, no exception
-    # escapes main, and a usage error prints exactly one error: line
+    # every subcommand that takes a config and both simulate methods, and
+    # of the symmetric marked and extremal configs through both simulate
+    # methods: each run ends with a mapped exit code, no exception escapes
+    # main, and a usage error prints exactly one error: line
     path, out = tmp_path / "fuzz.json", ["--output-dir", str(tmp_path / "o"), "--force"]
-    bounds, simulate = ["bounds"], ["simulate", "--replicates", "1"] + out
-    bp = ["bp-estimate", "--type", "1", "--replicates", "2", "--horizon", "2"] + out
-    cases = [("readme", readme_scenario(200), [bounds, simulate, bp]),
-             ("marked", config_to_dict(symmetric_marked_config(200)), [simulate]),
-             ("extremal", config_to_dict(extremal_config(200)), [simulate])]
+    bounds = ("bounds", ["bounds"])
+    simulate = ("simulate", ["simulate", "--replicates", "1"] + out)
+    lazy = ("lazy", ["simulate", "--method", "lazy", "--replicates", "1"] + out)
+    bp = ("bp-estimate",
+          ["bp-estimate", "--type", "1", "--replicates", "2", "--horizon", "2"] + out)
+    backward = ("backward", ["backward", "--roots-per-type", "1", "--t-star", "1"] + out)
+    verify = ("verify", ["verify", "--replicates", "1"] + out)
+    cases = [("readme", readme_scenario(200), [bounds, simulate, bp, backward, verify, lazy]),
+             ("marked", config_to_dict(symmetric_marked_config(200)), [simulate, lazy]),
+             ("extremal", config_to_dict(extremal_config(200)), [simulate, lazy])]
     bad, runs, reached = [], 0, set()
     for name, base, commands in cases:
         for keys in list(_leaves(base)):
@@ -280,23 +310,24 @@ def test_config_fuzz_single_mutations_exit_cleanly(tmp_path, capsys):
                 else:
                     node[keys[-1]] = value
                 path.write_text(json.dumps(d))
-                for argv in commands:
+                for label, argv in commands:
                     runs += 1
                     try:
                         rc = main(argv + ["--config", str(path)])
                     except Exception as exc:  # an escape is a finding, not a crash of the sweep
                         rc = repr(exc)
                     err = capsys.readouterr().err
-                    reached.add((name, argv[0], rc))
+                    reached.add((name, label, rc))
                     if rc not in (0, 1, 2, 3) or (
                             rc == 2 and not (err.count("\n") == 1 and err.startswith("error:"))):
                         bad.append((name, keys, "delete" if value is _DELETE else value,
-                                    argv[0], rc, err))
-    assert runs == (21 * 3 + 18 + 21) * 15
+                                    label, rc, err))
+    assert runs == (21 * 6 + 18 * 2 + 21 * 2) * 15
     assert not bad, bad[:10]
     # bounds refuses every markov_seir kernel; the other runs do real work
-    assert {("readme", "simulate", 0), ("readme", "bp-estimate", 0),
-            ("marked", "simulate", 0), ("extremal", "simulate", 0)} <= reached
+    assert {("readme", "simulate", 0), ("readme", "bp-estimate", 0), ("readme", "backward", 0),
+            ("readme", "verify", 0), ("readme", "lazy", 0), ("marked", "simulate", 0),
+            ("marked", "lazy", 0), ("extremal", "simulate", 0), ("extremal", "lazy", 0)} <= reached
 
 
 @pytest.mark.parametrize("value", [1e308, 2**70], ids=["1e308", "2**70"])
@@ -777,6 +808,30 @@ def test_bp_estimate_infinite_horizon_is_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error:") and "finite" in err
     assert list((tmp_path / "o").iterdir()) == []
+
+
+def test_bp_estimate_unsizable_replicates_is_usage_error(tmp_path, capsys):
+    # once numpy's "array is too big" ValueError, with a traceback and exit 1
+    cfg = _write_config(tmp_path, symmetric_marked_config(n=400, seed=21))
+    rc = main(["bp-estimate", "--config", cfg, "--type", "1", "--replicates", str(2**62),
+               "--output-dir", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and "replicates" in err
+    assert list((tmp_path / "o").iterdir()) == []
+
+
+def test_out_of_memory_exits_3_without_traceback(tmp_path, capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 16.0 TiB for an array")
+
+    monkeypatch.setattr(infector.cli, "estimate_rho_bp", out_of_memory)
+    cfg = _write_config(tmp_path, symmetric_marked_config(n=400, seed=21))
+    rc = main(["bp-estimate", "--config", cfg, "--type", "1", "--replicates", str(2**40),
+               "--output-dir", str(tmp_path / "o")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "memory" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import infector.graph
 from infector.analytic import fixed_point_q, theorem2_bounds
 from infector.config import Duration, MarkovSEIR, ModelConfig, PopulationSpec
 from infector import forward
@@ -20,7 +21,7 @@ from infector.forward import (
     run_epidemic,
     run_epidemic_lazy,
 )
-from infector.graph import FIG1_LABELS, build_graph, fixture_graph_fig1
+from infector.graph import FIG1_LABELS, build_graph, draw_out_edges, fixture_graph_fig1
 from infector.rng import stream
 
 from conftest import (
@@ -233,6 +234,28 @@ def test_lazy_seed_out_of_range():
     for seed in (-1, 50):
         with pytest.raises(DomainError):
             run_epidemic_lazy(dataclasses.replace(cfg, initial_infecteds=(seed,)))
+
+
+def test_lazy_draws_exactly_the_infected_lists(monkeypatch):
+    # no reveal budget: every list is drawn at most once, and the drawn
+    # tails are exactly the infected vertices, large outbreaks included
+    drawn = []
+
+    def recording(config, rng, i0, ids, *blocks):
+        drawn.append(np.asarray(ids).copy())
+        draw_out_edges(config, rng, i0, ids, *blocks)
+
+    monkeypatch.setattr(infector.graph, "draw_out_edges", recording)
+    for cfg in (readme_config(2000), extremal_config(n=2000, seed=19)):
+        large = 0
+        for r in range(20):
+            drawn.clear()
+            res = run_epidemic_lazy(cfg, stream(cfg.seed, "replicate", r))
+            ids = np.concatenate(drawn)
+            assert len(np.unique(ids)) == len(ids)
+            assert np.array_equal(np.sort(ids), np.flatnonzero(np.isfinite(res.sigma)))
+            large += is_large_outbreak(res, 0.05)
+        assert large >= 5
 
 
 def test_lazy_subcritical_no_large_outbreak():

@@ -155,6 +155,17 @@ def test_seeded_build_at_budget_zero_is_the_unseeded_build(monkeypatch):
             assert _digests(seeded) == _digests(build_graph(cfg, stream(cfg.seed, "replicate", r)))
 
 
+def test_reach_only_build_is_the_seeded_build_at_budget_n(monkeypatch):
+    # a budget of n lists is never passed, so no round draws every list
+    monkeypatch.setattr(infector.graph, "_REVEAL", 2000)
+    for cfg in (readme_config(2000), extremal_config(n=2000, seed=19)):
+        for r in range(3):
+            rngs = [stream(cfg.seed, "replicate", r) for _ in range(2)]
+            budget_n = build_graph(cfg, rngs[0], seeds=cfg.v_init())
+            reach_only = build_graph(cfg, rngs[1], seeds=cfg.v_init(), reach_only=True)
+            assert _digests(reach_only) == _digests(budget_n)
+
+
 def test_seeded_build_of_a_minor_outbreak_holds_only_the_reached_lists(monkeypatch):
     # an outbreak that ends within the budget draws the lists of exactly the
     # vertices it infects, so every tail and every head is infected; any
