@@ -2,14 +2,14 @@
 
 The susceptibility set of v collects every vertex with a directed path
 to v; its time-t slice keeps paths of length at most t.  On a
-materialized graph this is a shortest-path search on the transposed
+materialized graph this is one shortest-path search on the transposed
 graph (``scipy.sparse.csgraph.dijkstra`` with a distance limit), which
-is law-equivalent to the incremental reveal used for coupling
-arguments; the reveal's flag events survive here only as a diagnostic
-collision counter.  Snapshots hold sorted id arrays built from length-n
-masks.  Restricted sets are breadth-first reachable sets of a masked
-transposed graph.  ``scipy.sparse.csgraph`` is imported inside the two
-searches, so importing this module loads numpy only.
+reads nothing else.  A snapshot holds the slice and its collision
+count, the reverse edges out of the slice minus the vertices they
+discover besides the root.  Restricted sets are breadth-first
+reachable sets of a masked transposed graph.  ``scipy.sparse.csgraph``
+is imported inside the two searches, so importing this module loads
+numpy only.
 """
 
 from __future__ import annotations
@@ -34,16 +34,20 @@ __all__ = [
 
 @dataclass(kw_only=True)
 class SusceptibilitySnapshot:
-    """One root's backward exploration to a horizon; ids are sorted int64 arrays."""
+    """One root's susceptibility set at a horizon, and its collision count.
+
+    ``explored`` (sorted int64 ids, root included) and ``distance`` are
+    the vertices within ``horizon`` of the root and their distances.  A
+    reverse edge out of the explored set either discovers a vertex or
+    reaches one already discovered, a collision that would flag the
+    coupling with the backward branching process; so ``collision_count``
+    is the number of those edges minus the distinct vertices they
+    discover besides the root.  ``flagged`` is ``collision_count > 0``.
+    """
 
     root: int
-    # distance and active_distance may be left out (None) by the loop
-    # oracle in tests/oracles.py, which keeps distances in dict/set form.
-    explored: np.ndarray  # vertices within the horizon, root included
-    distance: np.ndarray = None  # their distances to the root
-    active: np.ndarray  # vertices one reverse edge beyond the horizon
-    active_distance: np.ndarray = None  # their best tentative distances
-    passive: np.ndarray  # out-neighbours of explored or active vertices that are neither
+    explored: np.ndarray
+    distance: np.ndarray
     flagged: bool
     collision_count: int
     horizon: float
@@ -54,18 +58,19 @@ def default_t_star(n: int, alpha: float, kappa: float = 0.5) -> float:
     """Coupling horizon (1 - kappa)/4 * log(n) / alpha."""
     if not 0 < kappa < 1:
         raise DomainError("kappa must lie in (0, 1)")
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
+    if not alpha > 0:  # also rejects NaN
+        raise DomainError(f"alpha must be positive, got {alpha}")
+    if not n >= 1:
+        raise DomainError(f"n must be at least 1, got {n}")
     return (1.0 - kappa) / 4.0 * math.log(n) / alpha
 
 
 def _row_entries(indptr, rows):
-    """Positions in a CSR edge array of every entry of ``rows``, and their rows."""
+    """Positions in a CSR edge array of every entry of ``rows``."""
     lo = indptr[rows]
     counts = indptr[rows + 1] - lo
-    owner = np.repeat(rows, counts)
     starts = np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    return starts + np.arange(len(owner)), owner
+    return starts + np.arange(len(starts))
 
 
 def _check_root(graph: EpidemicGraph, v) -> int:
@@ -78,11 +83,8 @@ def _check_root(graph: EpidemicGraph, v) -> int:
 def explore_susceptibility(graph: EpidemicGraph, v: int, t_star: float) -> SusceptibilitySnapshot:
     """Reverse shortest paths from v, keeping vertices with distance <= t_star.
 
-    The collision counter counts the reverse edges out of the explored
-    set that reach an already-discovered vertex -- the events that
-    would flag the incremental-reveal coupling.  Every other such edge
-    discovers a new vertex, so the count is the number of those edges
-    minus the vertices discovered besides v.
+    The vertices discovered besides v are the rest of the explored set
+    and the distinct vertices outside it that its reverse edges reach.
     """
     from scipy.sparse.csgraph import dijkstra
 
@@ -91,26 +93,14 @@ def explore_susceptibility(graph: EpidemicGraph, v: int, t_star: float) -> Susce
         raise DomainError(f"t_star must be >= 0, got {t_star}")
     rev = graph.reverse_matrix()
     dist = dijkstra(rev, indices=v, limit=t_star)
-    inside = np.isfinite(dist) & (dist <= t_star)
+    inside = np.isfinite(dist)  # dijkstra leaves every vertex beyond the limit at inf
     explored = np.flatnonzero(inside)
-
-    edges, owner = _row_entries(rev.indptr, explored)
-    reached = rev.indices[edges]
-    outside = ~inside[reached]
-    best = np.full(graph.n, np.inf)
-    np.minimum.at(best, reached[outside], dist[owner[outside]] + rev.data[edges[outside]])
-    active = np.flatnonzero(np.isfinite(best))
-    discovered = np.concatenate((explored, active))
-
-    heads = np.zeros(graph.n, dtype=bool)
-    heads[graph.heads[_row_entries(graph.indptr, discovered)[0]]] = True
-    heads[discovered] = False
-    collisions = len(edges) - (len(explored) + len(active) - 1)
+    reached = rev.indices[_row_entries(rev.indptr, explored)]
+    discovered = len(explored) - 1 + np.unique(reached[~inside[reached]]).size
+    collisions = len(reached) - discovered
     return SusceptibilitySnapshot(
-        root=v, explored=explored, distance=dist[explored], active=active,
-        active_distance=best[active], passive=np.flatnonzero(heads),
-        flagged=collisions > 0, collision_count=collisions, horizon=float(t_star),
-        population=graph.population)
+        root=v, explored=explored, distance=dist[explored], flagged=collisions > 0,
+        collision_count=collisions, horizon=float(t_star), population=graph.population)
 
 
 def susceptibility_counts(snapshot: SusceptibilitySnapshot, t: float, a: float, j: int) -> int:

@@ -86,29 +86,6 @@ def laplace_mean_matrix(config: ModelConfig, x: float) -> np.ndarray:
     return (p[:, None] * kern.pair_rates() * phi[:, None]).T
 
 
-def _bisect(f, lo: float, hi: float) -> float:
-    """Bisection to machine precision; f(lo) and f(hi) must differ in sign."""
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if np.sign(flo) == np.sign(fhi):
-        raise NumericError("bisection bracket does not straddle a root")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return mid
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if np.sign(fmid) == np.sign(flo):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def solve_malthusian(config: ModelConfig) -> MalthusianSolution:
     """Rate alpha > 0 at which the Laplace mean matrix has unit Perron root.
 
@@ -123,11 +100,17 @@ def solve_malthusian(config: ModelConfig) -> MalthusianSolution:
         return r0(laplace_mean_matrix(config, x), require_irreducible=False) - 1.0
 
     lo, hi = 0.0, 1.0
-    while g(hi) > 0:
+    while (g_alpha := g(hi)) > 0:
         lo, hi = hi, hi * 2.0
         if hi > 1e12:
             raise NumericError("failed to bracket the Malthusian parameter")
-    alpha = _bisect(g, lo, hi)
+    # g(lo) > 0 >= g(hi): halve to machine precision, stopping at an exact root
+    alpha = hi
+    while g_alpha != 0.0 and lo < (alpha := (lo + hi) / 2) < hi:
+        if (g_alpha := g(alpha)) > 0:
+            lo = alpha
+        else:
+            hi = alpha
     residual = abs(g(alpha))
     if residual >= 1e-10:
         raise NumericError(f"Malthusian residual {residual:.3g} too large")
@@ -332,10 +315,8 @@ def estimate_rho_bp(config: ModelConfig, j: int, R: int, horizon: Optional[float
     disc = np.exp(-alpha * tau) * w
     num = np.zeros((R, k))
     np.add.at(num, (rep_of, type_of), disc)
-    w_sum = np.zeros(R)
-    np.add.at(w_sum, rep_of, w)
     denom = num.sum(axis=1)
-    alive = w_sum > 0
+    alive = denom > 0
     if not alive.any():
         raise NoDataError("all replicates had zero surviving first-generation mass")
     contrib = np.zeros((R, k))

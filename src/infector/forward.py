@@ -24,7 +24,7 @@ from ._kernels import dijkstra
 from .analytic import mean_stderr
 from .config import ModelConfig
 from .errors import DomainError, NoDataError
-from .graph import EpidemicGraph, build_graph
+from .graph import EpidemicGraph, build_graph, seed_vertices
 
 __all__ = [
     "OutbreakResult",
@@ -88,19 +88,9 @@ def _summarize(population, sigma, infector) -> OutbreakResult:
     )
 
 
-def _seed_vertices(v_init, n: int) -> np.ndarray:
-    """Sorted distinct seed ids; DomainError if empty or outside [0, n)."""
-    v_init = np.asarray(sorted(set(int(v) for v in v_init)), dtype=np.int64)
-    if len(v_init) == 0:
-        raise DomainError("the initially infected set must be nonempty")
-    if (v_init < 0).any() or (v_init >= n).any():
-        raise DomainError("seed vertex id out of range")
-    return v_init
-
-
 def run_epidemic(graph: EpidemicGraph, v_init) -> OutbreakResult:
     """Exact multi-source shortest-path epidemic on a materialized graph."""
-    v_init = _seed_vertices(v_init, graph.n)
+    v_init = seed_vertices(v_init, graph.n)
     dist, pred = dijkstra(graph.indptr, graph.heads, graph.weights, v_init)
     return _summarize(graph.population, dist, pred)
 
@@ -113,7 +103,7 @@ def run_epidemic_lazy(config: ModelConfig, rng: Optional[np.random.Generator] = 
     """
     if rng is None:
         rng = rngmod.stream(config.seed, "lazy")
-    seeds = _seed_vertices(config.initial_infecteds, config.n)
+    seeds = seed_vertices(config.initial_infecteds, config.n)
     return run_epidemic(build_graph(config, rng, seeds=seeds, reach_only=True), seeds)
 
 
@@ -144,7 +134,7 @@ def _one_replicate(config: ModelConfig, master_seed: int, index: int, threshold:
                    method: str) -> dict:
     rng = rngmod.stream(master_seed, "replicate", index)
     if method == "eager":
-        seeds = _seed_vertices(config.initial_infecteds, config.n)
+        seeds = seed_vertices(config.initial_infecteds, config.n)
         result = run_epidemic(build_graph(config, rng, seeds=seeds), seeds)
     elif method == "lazy":
         result = run_epidemic_lazy(config, rng)

@@ -33,12 +33,13 @@ import numpy as np
 
 from . import rng as rngmod
 from .config import ModelConfig, PopulationSpec
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DomainError, NumericError
 
 __all__ = [
     "EpidemicGraph",
     "build_graph",
     "draw_out_edges",
+    "seed_vertices",
     "fixture_graph_fig1",
     "FIG1_LABELS",
     "degree_stats",
@@ -212,6 +213,16 @@ def _draw_heads_without_replacement(rng, base: int, n_j: int, counts: np.ndarray
     return heads
 
 
+def seed_vertices(v_init, n: int) -> np.ndarray:
+    """Sorted distinct seed ids; DomainError unless nonempty integers in [0, n)."""
+    seeds = set(v_init)
+    if not seeds:
+        raise DomainError("the initially infected set must be nonempty")
+    if not all(isinstance(v, (int, np.integer)) and 0 <= v < n for v in seeds):
+        raise DomainError(f"seed vertex ids must be integers in 0..{n - 1}")
+    return np.array(sorted(seeds), dtype=np.int64)
+
+
 def build_graph(config: ModelConfig, rng: Optional[np.random.Generator] = None,
                 seeds=None, reach_only: bool = False) -> EpidemicGraph:
     """Materialize a graph realization for a configuration.
@@ -222,14 +233,15 @@ def build_graph(config: ModelConfig, rng: Optional[np.random.Generator] = None,
     ``_REVEAL`` lists draws all the rest; with ``reach_only`` no round
     does, so exactly the lists of the vertices the seeds reach are
     drawn.  Lists are i.i.d. given the tail's type, so what the seeds
-    reach has the law of the full build.
+    reach has the law of the full build.  Seeds must be a nonempty set
+    of vertex ids (``DomainError`` otherwise).
     """
     if rng is None:
         rng = rngmod.stream(config.seed, "graph")
     tails, heads, weights = [], [], []
     pop = config.population
     drawn = np.zeros(pop.n, dtype=bool)
-    new = np.arange(pop.n) if seeds is None else np.unique(seeds)
+    new = np.arange(pop.n) if seeds is None else seed_vertices(seeds, pop.n)
     while new.size:
         if not reach_only and np.count_nonzero(drawn) + new.size > _REVEAL:
             new = np.flatnonzero(~drawn)

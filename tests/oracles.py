@@ -83,21 +83,11 @@ def explore_susceptibility(graph: EpidemicGraph, v: int, t_star: float) -> Susce
                 dist[w] = nd
                 heapq.heappush(heap, (nd, w))
 
-    active = {(u, d) for u, d in dist.items() if u not in explored}
-    passive = set()
-    for u in explored:
-        lo, hi = graph.indptr[u], graph.indptr[u + 1]
-        passive.update(int(h) for h in graph.heads[lo:hi])
-    for u, _ in active:
-        lo, hi = graph.indptr[u], graph.indptr[u + 1]
-        passive.update(int(h) for h in graph.heads[lo:hi])
-    passive -= set(explored)
-    passive -= {u for u, _ in active}
+    ids = sorted(explored)
     return SusceptibilitySnapshot(
         root=int(v),
-        explored=explored,
-        active=active,
-        passive=passive,
+        explored=np.array(ids, dtype=np.int64),
+        distance=np.array([explored[u] for u in ids]),
         flagged=collisions > 0,
         collision_count=collisions,
         horizon=float(t_star),

@@ -123,18 +123,10 @@ def test_counts_bad_arguments():
 # snapshot structure
 # --------------------------------------------------------------------------
 
-def test_snapshot_sets_disjoint_and_bounded():
+def test_snapshot_distances_bounded_and_flag_consistent():
     g = build_graph(symmetric_marked_config(n=500, seed=71))
     snap = explore_susceptibility(g, 5, 1.5)
-    explored, active, passive = (set(a.tolist()) for a in
-                                 (snap.explored, snap.active, snap.passive))
     assert (snap.distance <= snap.horizon).all()
-    assert (snap.active_distance > snap.horizon).all()
-    assert len(snap.active_distance) == len(snap.active) > 0
-    assert passive
-    assert not explored & active
-    assert not explored & passive
-    assert not active & passive
     assert snap.flagged == (snap.collision_count > 0)
 
 
@@ -143,11 +135,9 @@ def test_snapshot_arrays_sorted_and_typed():
     for v in (0, 5, 499):
         for t in (0.0, 1.5, math.inf):
             snap = explore_susceptibility(g, v, t)
-            for ids in (snap.explored, snap.active, snap.passive):
-                assert ids.dtype == np.int64
-                assert (np.diff(ids) > 0).all()
+            assert snap.explored.dtype == np.int64
+            assert (np.diff(snap.explored) > 0).all()
             assert len(snap.distance) == len(snap.explored)
-            assert len(snap.active_distance) == len(snap.active)
             at = np.searchsorted(snap.explored, v)
             assert snap.explored[at] == v and snap.distance[at] == 0.0
 
@@ -174,11 +164,8 @@ def test_reverse_distances_match_transposed_dijkstra():
 
 
 def _assert_same_snapshot(new, old):
-    # the oracle holds explored as {vertex: distance} and active as a
-    # set of (vertex, distance): compare keys and exact distances
-    assert dict(zip(new.explored.tolist(), new.distance.tolist())) == old.explored
-    assert set(zip(new.active.tolist(), new.active_distance.tolist())) == old.active
-    assert set(new.passive.tolist()) == old.passive
+    assert new.explored.tolist() == old.explored.tolist()
+    assert new.distance.tolist() == old.distance.tolist()
     assert new.collision_count == old.collision_count
     assert new.flagged == old.flagged
 
@@ -210,6 +197,17 @@ def test_matches_loop_oracle_on_seir_graph():
             assert (restricted_susceptibility_size(g, v, i, j)
                     == oracles.restricted_susceptibility_size(g, v, i, j))
     assert collisions > 0
+
+
+def test_exploration_reads_only_the_transpose():
+    g = build_graph(asymmetric_seir_config(n=2000, seed=7))
+    g.reverse_matrix()
+    cases = [(v, t) for v in (0, 17, 1500) for t in (0.0, 4.0, 10.0, math.inf)]
+    before = [explore_susceptibility(g, v, t) for v, t in cases]
+    assert sum(snap.collision_count for snap in before) > 0
+    g.indptr = g.heads = g.weights = None  # the forward CSR is gone
+    for (v, t), snap in zip(cases, before):
+        _assert_same_snapshot(explore_susceptibility(g, v, t), snap)
 
 
 # --------------------------------------------------------------------------
@@ -314,6 +312,10 @@ def test_default_t_star_domain():
         default_t_star(100, 1.0, kappa=1.0)
     with pytest.raises(DomainError):
         default_t_star(100, 0.0)
+    with pytest.raises(DomainError, match="alpha"):
+        default_t_star(10, math.nan)
+    with pytest.raises(DomainError, match="n must"):
+        default_t_star(0, 1.0)
 
 
 def test_flagged_fraction_decreases_with_n():

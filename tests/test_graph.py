@@ -9,7 +9,7 @@ from scipy import stats
 
 import infector.graph
 from infector.config import Duration, MarkovSEIR, ModelConfig, PopulationSpec
-from infector.errors import ConfigError, NumericError
+from infector.errors import ConfigError, DomainError, NumericError
 from infector.forward import run_epidemic
 from infector.graph import (
     FIG1_LABELS,
@@ -164,6 +164,13 @@ def test_reach_only_build_is_the_seeded_build_at_budget_n(monkeypatch):
             budget_n = build_graph(cfg, rngs[0], seeds=cfg.v_init())
             reach_only = build_graph(cfg, rngs[1], seeds=cfg.v_init(), reach_only=True)
             assert _digests(reach_only) == _digests(budget_n)
+
+
+def test_seeded_build_refuses_bad_seeds():
+    cfg = single_type_config(n=50)
+    for seeds in ([-1], [cfg.n], [], [0.5]):
+        with pytest.raises(DomainError, match="seed|initially infected"):
+            build_graph(cfg, seeds=seeds)
 
 
 def test_seeded_build_of_a_minor_outbreak_holds_only_the_reached_lists(monkeypatch):
