@@ -20,7 +20,8 @@ children of the type being drawn and the temporaries of one slice of
 ``_SLICE`` children.  W is estimated as e^(-alpha T) * size(T), and as 0
 when the run had no birth in [T/2, T]: that no-growth rule is the
 extinction surrogate shared by ``estimate_W``, ``estimate_rho_bp`` and
-``extinction_frequency``.
+``extinction_frequency``.  W runs grow ``_PARTICLES`` * e^(-alpha T)
+roots at a time, about ``_PARTICLES`` * E[W] particles at any horizon.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ class MalthusianSolution:
     residual: float
 
 
-# Roots per _simulate_batch call when estimating W; bounds peak memory.
-_BATCH = 4_000
+# Particle budget of a _simulate_batch call when estimating W (see _w_values).
+_PARTICLES = 1 << 19
 # Children per slice of _simulate_batch's draw-filter step; bounds its temporaries.
 _SLICE = 1 << 14
 
@@ -205,20 +206,23 @@ def _w_values(config: ModelConfig, root_types0: np.ndarray, horizon: float,
               alpha: float, cap: int, rng: np.random.Generator) -> np.ndarray:
     """W = e^(-alpha T) * size(T) per root, 0 under the extinction surrogate.
 
-    Roots run in batches of ``_BATCH`` to bound memory.  A batch stops at
-    the generation where its first run passes the cap, which then
-    raises, since that run's size is only a lower bound.
+    A run's size at T grows like e^(alpha T), so batches of ``_PARTICLES``
+    * e^(-alpha T) roots (at least one) hold about ``_PARTICLES`` * E[W]
+    particles.  A batch stops at the generation where its first run passes
+    the cap, which then raises, since that run's size is only a lower bound.
     """
+    scale = np.exp(-alpha * horizon)  # underflows to 0 past alpha T = 745: batches of 1
+    batch = max(1, int(_PARTICLES * scale))
     w = np.empty(len(root_types0))
-    for start in range(0, len(root_types0), _BATCH):
-        idx = slice(start, start + _BATCH)
+    for start in range(0, len(root_types0), batch):
+        idx = slice(start, start + batch)
         sizes, last_birth, capped = _simulate_batch(config, root_types0[idx], horizon, cap,
                                                     rng, stop_on_cap=True)
         if capped.any():
-            raise CapExceededError(
-                "branching population cap hit while estimating W; raise cap"
-            )
-        w_batch = np.exp(-alpha * horizon) * sizes
+            raise CapExceededError(f"branching population cap {cap} passed at horizon "
+                                   f"{horizon:.4g} after {start} of {len(root_types0)} "
+                                   "subtrees; lower the horizon or raise the cap")
+        w_batch = scale * sizes
         w_batch[_no_growth(sizes, last_birth, horizon)] = 0.0
         w[idx] = w_batch
     return w

@@ -544,11 +544,11 @@ def eta_cdf(config: ModelConfig, i: int, j: int, t: float) -> float:
 # JSON interface
 # --------------------------------------------------------------------------
 
-def _duration_from_dict(d) -> Duration:
+def _duration_from_dict(d, field: str) -> Duration:
     kind = d["kind"]
     if kind not in _DURATION_PARAMS:
         raise ConfigError(f"unknown duration kind {kind!r}")
-    return Duration(kind, **{name: float(d[name]) for name in _DURATION_PARAMS[kind]})
+    return Duration(kind, **{k: float(_reals(d[k], f"{field}.{k}")) for k in _DURATION_PARAMS[kind]})
 
 
 def _duration_to_dict(d: Duration):
@@ -564,8 +564,9 @@ def _kernel_from_dict(d) -> Kernel:
     variant = d["variant"]
     if variant in _PERIOD_VARIANTS:
         cls, rates = _PERIOD_VARIANTS[variant]
-        return cls([_duration_from_dict(x) for x in d["latent"]],
-                   [_duration_from_dict(x) for x in d["infectious"]], d[rates])
+        return cls([_duration_from_dict(x, "kernel.latent") for x in d["latent"]],
+                   [_duration_from_dict(x, "kernel.infectious") for x in d["infectious"]],
+                   _reals(d[rates], f"kernel.{rates}"))
     if variant == "extremal_two_type":
         base = _kernel_from_dict(d["base"])
         if not isinstance(base, MarkedSingleProcess):
@@ -594,6 +595,17 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _reals(value, name: str):
+    # float() parses a string and bool is an int, but neither is a JSON number
+    stack = [value]  # not recursion: lists may nest as deep as JSON allows
+    while stack:
+        if isinstance(v := stack.pop(), list):
+            stack.extend(v)
+        elif isinstance(v, (str, bool)):
+            raise ConfigError(f"{name} must be a number, got {v!r}")
+    return value
+
+
 def config_from_dict(d: dict) -> ModelConfig:
     """Build a config from its JSON form; any malformed field raises ConfigError."""
     if not isinstance(d, dict):
@@ -602,7 +614,7 @@ def config_from_dict(d: dict) -> ModelConfig:
         pop = PopulationSpec(
             n=_integer(d["population"]["n"], "population.n"),
             counts=[_integer(c, "population.counts") for c in d["population"]["counts"]],
-            proportions=d["population"]["proportions"],
+            proportions=_reals(d["population"]["proportions"], "population.proportions"),
         )
         kernel = _kernel_from_dict(d["kernel"])
         initial = resolve_initial(pop, d["initial_infecteds"])

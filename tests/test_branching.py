@@ -272,22 +272,9 @@ def test_batch_simulator_keeps_per_particle_draw_order(case):
 
 
 def test_batch_simulator_peak_memory():
-    # 12 bytes per live particle plus one child type's draw temporaries;
-    # the per-particle-array form peaked at about 17 MB on this call
-    cfg = readme_config(100)
-    roots = np.arange(1000) % 2
-    tracemalloc.start()
-    try:
-        _simulate_batch(cfg, roots, 8.0, 1_000_000, stream(2, "memory"))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 10e6
-
-
-def test_batch_simulator_peak_memory_sliced():
-    # the same call with the uniform factor of each age and the
-    # expand-filter step run over slices of _SLICE parents
+    # 12 bytes per live particle plus the kept children of the type being
+    # drawn and the temporaries of one slice of _SLICE children; the
+    # per-particle-array form peaked at about 17 MB on this call
     cfg = readme_config(100)
     roots = np.arange(1000) % 2
     tracemalloc.start()
@@ -486,6 +473,56 @@ def test_martingale_mean_stable_in_horizon():
     assert abs(means[0] - means[1]) < 3 * math.hypot(*ses)
 
 
+def _record_batches(monkeypatch):
+    batches = []
+
+    def recorder(config, root_types0, *args, **kwargs):
+        batches.append(np.array(root_types0))
+        return _simulate_batch(config, root_types0, *args, **kwargs)
+
+    monkeypatch.setattr(infector.branching, "_simulate_batch", recorder)
+    return batches
+
+
+@pytest.mark.parametrize("horizon, R", [(5.0, 9000), (8.0, 1500), (10.0, 300)])
+def test_w_batches_sized_by_particle_budget(monkeypatch, horizon, R):
+    # a run's size at T grows like e^(alpha T): batches of
+    # _PARTICLES * e^(-alpha T) roots cover the roots in order
+    cfg = readme_config(1000)
+    alpha = solve_malthusian(cfg).alpha
+    batches = _record_batches(monkeypatch)
+    estimate_W(cfg, 2, horizon, alpha, R, rng=stream(3, "batches"))
+    batch = max(1, int(infector.branching._PARTICLES * math.exp(-alpha * horizon)))
+    assert [len(b) for b in batches] == [min(batch, R - a) for a in range(0, R, batch)]
+    assert np.array_equal(np.concatenate(batches), np.ones(R))
+
+
+def test_w_batches_of_one_past_exp_underflow(monkeypatch):
+    # alpha T > 745: e^(-alpha T) underflows to 0 without a warning, and
+    # each root runs alone
+    batches = _record_batches(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = estimate_W(single_type_config(n=10, rate=2.0), 1, 1.0, 800.0, 5,
+                       rng=stream(3, "underflow"))
+    assert [len(b) for b in batches] == [1] * 5
+    assert (w == 0.0).all()
+
+
+def test_estimate_W_peak_memory():
+    # a batch holds about _PARTICLES * E[W] particles at any horizon; one
+    # batch of 2000 subtrees peaked at 36 MB
+    cfg = readme_config(1000)
+    alpha = solve_malthusian(cfg).alpha
+    tracemalloc.start()
+    try:
+        estimate_W(cfg, 1, 8.0 / alpha, alpha, 2000, rng=stream(4, "memory"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
+
+
 # --------------------------------------------------------------------------
 # survival
 # --------------------------------------------------------------------------
@@ -579,3 +616,23 @@ def test_rho_bp_cap_exceeded():
     cfg = single_type_config(n=10, rate=2.0)
     with pytest.raises(CapExceededError):
         estimate_rho_bp(cfg, 1, R=50, horizon=20.0, cap=10, rng=stream(13, "r4"))
+
+
+def test_rho_bp_cap_message_names_cap_and_horizon():
+    cfg = single_type_config(n=10, rate=2.0)
+    with pytest.raises(CapExceededError, match=r"cap 10 passed at horizon 20 after \d+ of \d+"):
+        estimate_rho_bp(cfg, 1, R=50, horizon=20.0, cap=10, rng=stream(13, "r4"))
+
+
+def test_rho_bp_default_horizon_fails_fast():
+    # at the default 12/alpha a few roots fill a batch, so the first
+    # subtree past the cap stops the run: whole batches of 4,000 roots
+    # grew in lockstep to 2.8 GB first
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match="cap 1000000 passed at horizon 14.33"):
+            estimate_rho_bp(readme_config(1000), 1, R=10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32e6

@@ -265,6 +265,30 @@ def test_non_integer_config_field_named(tmp_path, capsys, keys, value, field, cf
     assert err.count("\n") == 1 and err.startswith("error:") and field in err
 
 
+@pytest.mark.parametrize("keys, value, field, cfg", [
+    (("kernel", "infectious", 0, "rate"), True, "kernel.infectious.rate", None),
+    (("kernel", "latent", 1, "value"), "0", "kernel.latent.value", None),
+    (("population", "proportions"), [0.4, True], "population.proportions", None),
+    (("population", "proportions"), ["0.4", 0.6], "population.proportions", None),
+    (("kernel", "total_rates"), [3.0, True], "kernel.total_rates", None),
+    (("kernel", "contact_rates"), [[3.0, 1.5], [True, 2.5]], "kernel.contact_rates",
+     readme_config(2000)),
+    (("kernel", "base", "total_rates"), ["3", 2.0], "kernel.total_rates",
+     extremal_config(2000)),
+], ids=["rate-true", "latent-str", "proportions-true", "proportions-str", "total-rates-true",
+        "contact-rates-true", "extremal-base-str"])
+def test_non_numeric_real_config_field_named(tmp_path, capsys, keys, value, field, cfg):
+    # "rate": true once loaded as 1.0 and a string as its parsed number,
+    # and simulate exited 0 on either
+    path = tmp_path / "bad.json"
+    path.write_text(_edited(keys, value, cfg))
+    rc = main(["simulate", "--config", str(path), "--replicates", "1",
+               "--output-dir", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and field in err
+
+
 # Each leaf of the fuzzed config is replaced by each of these, or deleted.
 _FUZZ_VALUES = [True, False, "x", None, [], {}, math.nan, math.inf, -math.inf, -1, 0, 1.5,
                 1e308, 2**70]
@@ -614,18 +638,26 @@ def test_simulate_default_method_is_eager(tmp_path):
 
 def test_bp_estimate_outputs_byte_identical(tmp_path):
     # Digests recorded with the Poisson-splitting generation step of the
-    # branching simulator and ages drawn through ContactAgeLaw.sample,
-    # the infectious period's stationary excess.  2500 replicates put
-    # ~5000 first-generation subtrees in two batches.
+    # branching simulator, ages drawn through ContactAgeLaw.sample (the
+    # infectious period's stationary excess) and W subtrees grown in
+    # batches of _PARTICLES * e^(-alpha T) roots.  At --horizon 5 a batch
+    # holds 7,962 roots, so 2500 replicates put their ~5000
+    # first-generation subtrees in one batch.
     argv = ["bp-estimate", "--replicates", "2500", "--horizon", "5", "--force"]
     names = ["bp_replicates.csv", "bp_summary.csv"]
     assert _readme_digests(tmp_path, 2000, argv + ["--type", "1"], names) == {
-        "bp_replicates.csv": "8ec623c05efda31d3cbc06fa328814d007172eb58db0a3b8a760fbc691fada24",
-        "bp_summary.csv": "214d1a55f6d9f69b22fcfcd38d72baab148a94b888a56eabb249a7287eac60b1",
+        "bp_replicates.csv": "750fe8f1ccd7c1eab7660acfc4bad198668ff3357bb4b0c5b8b28ab7698df5d4",
+        "bp_summary.csv": "ab9637d932e8ab6653205cd702f85121589ed1c3f678022bf3b67baf1c69fdc3",
     }
     assert _readme_digests(tmp_path, 2000, argv + ["--type", "2"], names) == {
-        "bp_replicates.csv": "8032f10b16a4aa437d0a33474858475d17c3f631bd89bdeb2a3a0c3cc3fb6edb",
-        "bp_summary.csv": "3d494ea8cc0e46694e1c228ca7089531d7bb610e990a2a805c60159d3e0803ce",
+        "bp_replicates.csv": "7de26fc881268c566ad69ef8e72039ad5ab3c28335f980f74f54821e85e2a11a",
+        "bp_summary.csv": "3b3285925d70bdfa6e7680bdd5ea137e1fa8a8b0c34e7ea5751ad5b3a637c59c",
+    }
+    # at --horizon 8 a batch holds 645 roots: ~2000 subtrees span four batches
+    argv = ["bp-estimate", "--replicates", "1000", "--horizon", "8", "--force"]
+    assert _readme_digests(tmp_path, 2000, argv + ["--type", "1"], names) == {
+        "bp_replicates.csv": "d96254db8bdae8c1576598795a61532de083e8a0939541cf2bd61cf4e6a6c171",
+        "bp_summary.csv": "1c0f5fa3135c70c07854011cf5944abcb0b404605037ad5c4ef60b5c3e6df639",
     }
 
 
