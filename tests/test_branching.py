@@ -286,6 +286,21 @@ def test_batch_simulator_peak_memory():
     assert peak <= 7.5e6
 
 
+def test_batch_simulator_peak_memory_sliced(monkeypatch):
+    # the same call with slices of 1,024 children, 16 times shorter than
+    # _SLICE: more, smaller slices must not raise the peak past the bound
+    monkeypatch.setattr(infector.branching, "_SLICE", 1024)
+    cfg = readme_config(100)
+    roots = np.arange(1000) % 2
+    tracemalloc.start()
+    try:
+        _simulate_batch(cfg, roots, 8.0, 1_000_000, stream(2, "memory"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.5e6
+
+
 @pytest.mark.parametrize("slice_len", [1, 7])
 def test_batch_simulator_slices_match_event_log_oracle(monkeypatch, slice_len):
     # slices of a few children draw parent ids, ages and uniforms in
