@@ -238,28 +238,6 @@ def rho21_min(m11b: float, q1: float, q_tilde_1: float) -> float:
     return float(min(max(value, 0.0), 1.0))
 
 
-def _marked_fixed_points(p1: float, m1_tilde: float, m2_tilde: float) -> tuple:
-    """(R0, q, q_tilde_1, q_tilde_2) of a two-type marked model with R0 > 1."""
-    if not (0 < p1 < 1):
-        raise DomainError("p1 must lie in (0, 1)")
-    if m1_tilde < 0 or m2_tilde < 0:
-        raise DomainError("type reproduction numbers must be >= 0")
-    p2 = 1.0 - p1
-    r0_value = p1 * m1_tilde + p2 * m2_tilde
-    if r0_value <= 1.0:
-        raise DomainError(f"bounds require R0 > 1, got {r0_value}")
-    return (r0_value, fixed_point_q(r0_value).value,
-            fixed_point_qtilde(p1 * m1_tilde).value, fixed_point_qtilde(p2 * m2_tilde).value)
-
-
-def _rho1_bounds(p1, m1_tilde, m2_tilde, q, qt1, qt2) -> tuple:
-    """Theorem 2's (rho1_minus, rho1_plus): each rho_j+ is 1 - rho21_min(p_j m_j, q, qt_j)."""
-    rho1_plus = 1.0 - rho21_min(p1 * m1_tilde, q, qt1)
-    rho2_plus = 1.0 - rho21_min((1.0 - p1) * m2_tilde, q, qt2)
-    rho1_minus = 1.0 - rho2_plus
-    return float(min(max(rho1_minus, 0.0), 1.0)), float(min(max(rho1_plus, 0.0), 1.0))
-
-
 def theorem2_bounds(p1: float, m1_tilde: float, m2_tilde: float):
     """Bounds (rho1_minus, rho1_plus) on the type-1 attribution fractions.
 
@@ -275,14 +253,26 @@ def theorem2_bounds(p1: float, m1_tilde: float, m2_tilde: float):
     alternative statement drops the leading ``1 -``, which is
     ``rho21_min(p1 m1, q, qt1)`` itself.
     """
-    _, q, qt1, qt2 = _marked_fixed_points(p1, m1_tilde, m2_tilde)
-    return _rho1_bounds(p1, m1_tilde, m2_tilde, q, qt1, qt2)
+    report = analytic_report(p1, m1_tilde, m2_tilde)
+    return report.rho1_minus, report.rho1_plus
 
 
 def analytic_report(p1: float, m1_tilde: float, m2_tilde: float) -> AnalyticReport:
-    """Evaluate the whole fixed-point layer for a two-type marked model."""
-    r0_value, q, qt1, qt2 = _marked_fixed_points(p1, m1_tilde, m2_tilde)
-    lo, hi = _rho1_bounds(p1, m1_tilde, m2_tilde, q, qt1, qt2)
+    """Evaluate the whole fixed-point layer for a two-type marked model with R0 > 1."""
+    if not (0 < p1 < 1):
+        raise DomainError("p1 must lie in (0, 1)")
+    if m1_tilde < 0 or m2_tilde < 0:
+        raise DomainError("type reproduction numbers must be >= 0")
+    p2 = 1.0 - p1
+    r0_value = p1 * m1_tilde + p2 * m2_tilde
+    if r0_value <= 1.0:
+        raise DomainError(f"bounds require R0 > 1, got {r0_value}")
+    q = fixed_point_q(r0_value).value
+    qt1, qt2 = fixed_point_qtilde(p1 * m1_tilde).value, fixed_point_qtilde(p2 * m2_tilde).value
+    # Theorem 2: each rho_j+ is 1 - rho21_min(p_j m_j, q, qt_j), and rho1- = 1 - rho2+
+    rho1_plus = 1.0 - rho21_min(p1 * m1_tilde, q, qt1)
+    rho2_plus = 1.0 - rho21_min(p2 * m2_tilde, q, qt2)
+    rho1_minus = 1.0 - rho2_plus
     return AnalyticReport(
         p1=p1,
         m1_tilde=m1_tilde,
@@ -294,8 +284,8 @@ def analytic_report(p1: float, m1_tilde: float, m2_tilde: float) -> AnalyticRepo
         # equal rows (p_1 m_1, p_2 m_2) of the backward mean matrix: q1 = q2 = q
         q1=q,
         q2=q,
-        rho1_minus=lo,
-        rho1_plus=hi,
+        rho1_minus=float(min(max(rho1_minus, 0.0), 1.0)),
+        rho1_plus=float(min(max(rho1_plus, 0.0), 1.0)),
     )
 
 

@@ -32,7 +32,6 @@ from .backward import (
 )
 from .branching import estimate_rho_bp, solve_malthusian
 from .config import (
-    ExtremalTwoType,
     MarkedSingleProcess,
     ModelConfig,
     config_to_dict,
@@ -100,8 +99,9 @@ def _load_valid_config(path: str) -> ModelConfig:
     return config
 
 
-def _marked_params(config: ModelConfig, kern):
-    """(p1, m1_tilde, m2_tilde) when kern is a two-type marked_single kernel, else None."""
+def _marked_params(config: ModelConfig):
+    """(p1, m1_tilde, m2_tilde) when the kernel is a two-type marked one, else None."""
+    kern = config.kernel
     if not isinstance(kern, MarkedSingleProcess) or kern.k != 2:
         return None
     m1, m2 = (float(rate * d.mean()) for rate, d in zip(kern.total_rates, kern.infectious))
@@ -208,8 +208,7 @@ def cmd_bp_estimate(args, config, seed, out) -> int:
 
 def cmd_bounds(args, config, seed, out) -> int:
     if config is not None:
-        kern = config.kernel
-        params = _marked_params(config, kern.base if isinstance(kern, ExtremalTwoType) else kern)
+        params = _marked_params(config)
         if params is None:
             raise ConfigError("bounds require a two-type marked_single kernel")
     elif None in (args.p1, args.m1, args.m2):
@@ -232,8 +231,6 @@ def cmd_bounds(args, config, seed, out) -> int:
 def cmd_verify(args, config, seed, out) -> int:
     from .forward import replicate_rho  # loads scipy.sparse
 
-    if args.replicates < 1:
-        raise ConfigError("verify needs at least one replicate")
     if not (np.isfinite(args.slack) and args.slack >= 0):  # also rejects NaN
         raise DomainError(f"--slack must be finite and >= 0, got {args.slack}")
     basic = r0(mean_matrix(config))
@@ -256,7 +253,7 @@ def cmd_verify(args, config, seed, out) -> int:
     checks.append(("attribution-columns-sum", 1.0, 1.0 + col_err, 1e-12,
                    col_err < 1e-12))
 
-    params = _marked_params(config, config.kernel)
+    params = _marked_params(config)
     if params is not None:
         report = analytic_report(*params)
         rho1 = float(np.nanmean(est.mean[0]))

@@ -13,10 +13,10 @@ Three kernel variants are supported:
 * ``MarkedSingleProcess`` -- one contact process per type with total rate
   ``total_rates[i]``; each contact is independently marked type j with
   probability ``proportions[j]``.
-* ``ExtremalTwoType`` -- a two-type marked process whose realized edge
-  weights are replaced by micro-interval uniforms so that one ordered
-  type pair always wins the shortest-path race.  Its weights depend on
-  n, so it refuses the backward law.
+* ``ExtremalTwoType`` -- a two-type ``MarkedSingleProcess``, written as
+  its JSON ``base``, whose edge weights are micro-interval uniforms so
+  that one ordered type pair always wins the shortest-path race.  They
+  depend on n, so it refuses the backward law.
 
 Type indices in the public API are 1-based (1..K); vertex ids are
 0-based.  All configuration objects are immutable after construction.
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -270,7 +269,7 @@ class ContactAgeLaw:
 
 
 @dataclass(frozen=True)
-class _PeriodKernel:
+class Kernel:
     """Per-type periods: a tail's contacts fall uniformly in its window (L, L + I)."""
 
     latent: tuple
@@ -293,7 +292,7 @@ class _PeriodKernel:
 
 
 @dataclass(frozen=True)
-class MarkovSEIR(_PeriodKernel):
+class MarkovSEIR(Kernel):
     """Per-type latent/infectious periods and a K x K contact-rate matrix."""
 
     contact_rates: np.ndarray
@@ -309,7 +308,7 @@ class MarkovSEIR(_PeriodKernel):
 
 
 @dataclass(frozen=True)
-class MarkedSingleProcess(_PeriodKernel):
+class MarkedSingleProcess(Kernel):
     """One contact process per type, marks assigned i.i.d. by proportion."""
 
     total_rates: np.ndarray
@@ -325,21 +324,21 @@ class MarkedSingleProcess(_PeriodKernel):
 
 
 @dataclass(frozen=True)
-class ExtremalTwoType:
+class ExtremalTwoType(MarkedSingleProcess):
     """Marked two-type process with degenerate edge-weight ordering.
 
     Edge weights for the ordered ``fast_pair`` (tail type, head type),
     1-based, are uniform on (0, n^-2); all other weights are uniform on
     (n^-1, n^-1 + n^-2).  Any path of short edges is then shorter than a
     single long edge, so shortest paths prefer the fast pair whenever a
-    route through it exists.  Contact counts follow the base kernel.
+    route through it exists.  Contact counts are the marked kernel's.
     """
 
-    base: MarkedSingleProcess
     fast_pair: tuple
 
     def __post_init__(self):
-        if self.base.k != 2:
+        super().__post_init__()
+        if self.k != 2:
             raise ConfigError("ExtremalTwoType requires exactly two types")
         i, j = (_integer(v, "fast_pair") for v in self.fast_pair)
         if not (1 <= i <= 2 and 1 <= j <= 2):
@@ -347,19 +346,9 @@ class ExtremalTwoType:
         object.__setattr__(self, "fast_pair", (i, j))
 
     @property
-    def k(self) -> int:
-        return 2
-
-    @property
-    def latent(self):
-        return self.base.latent
-
-    @property
-    def infectious(self):
-        return self.base.infectious
-
-    def pair_rates(self) -> np.ndarray:
-        return self.base.pair_rates()
+    def base(self) -> MarkedSingleProcess:
+        """The marked kernel whose contacts these are: the JSON form's ``base``."""
+        return MarkedSingleProcess(self.latent, self.infectious, self.total_rates)
 
     def contact_window(self, n: int, i0: int, j0: int, lat, iota) -> tuple:
         start = 0.0 if (i0 + 1, j0 + 1) == self.fast_pair else n**-1.0
@@ -368,9 +357,6 @@ class ExtremalTwoType:
     def contact_age(self, i0: int):
         raise DomainError("extremal_two_type has no backward contact-age law: "
                           "its edge weights depend on n, not on the base kernel's contact ages")
-
-
-Kernel = Union[MarkovSEIR, MarkedSingleProcess, ExtremalTwoType]
 
 
 # --------------------------------------------------------------------------
@@ -569,9 +555,10 @@ def _kernel_from_dict(d) -> Kernel:
                    _reals(d[rates], f"kernel.{rates}"))
     if variant == "extremal_two_type":
         base = _kernel_from_dict(d["base"])
-        if not isinstance(base, MarkedSingleProcess):
+        if type(base) is not MarkedSingleProcess:
             raise ConfigError("extremal_two_type base must be a marked_single kernel")
-        return ExtremalTwoType(base=base, fast_pair=tuple(d["fast_pair"]))
+        return ExtremalTwoType(base.latent, base.infectious, base.total_rates,
+                               tuple(d["fast_pair"]))
     raise ConfigError(f"unknown kernel variant {variant!r}")
 
 

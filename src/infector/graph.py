@@ -179,20 +179,20 @@ def _assemble(population: PopulationSpec, tails, heads, weights, realized_seed) 
 
 
 def _draw_heads_without_replacement(rng, base: int, n_j: int, counts: np.ndarray,
-                                    rows: Optional[np.ndarray] = None) -> np.ndarray:
+                                    rows: np.ndarray) -> np.ndarray:
     """Head labels for each tail group: ``counts[g]`` distinct vertices of a type.
 
     A with-replacement draw conditioned on within-group distinctness has
     exactly the without-replacement law, so the vectorized attempt is
     kept where it has no collisions and redrawn sequentially otherwise.
-    ``rows`` is the group of each head, when the caller has it.
+    ``rows`` is the group of each head.
     """
     total = int(counts.sum())
     heads = rng.integers(base, base + n_j, size=total)
     if counts.size == 0 or counts.max() <= 1:
         return heads
     # A collision is a repeated (group, head) pair: a repeated packed key.
-    key = (np.repeat(np.arange(len(counts)), counts) if rows is None else rows) * n_j
+    key = rows * n_j
     key += heads
     key -= base
     key.sort()

@@ -97,7 +97,7 @@ def extremal_config(n=10000, m_tilde=2.0, fast_pair=(1, 1), seed=0):
         infectious=[Duration.exponential(1.0)] * 2,
         total_rates=[m_tilde, m_tilde],
     )
-    kern = ExtremalTwoType(base=base, fast_pair=fast_pair)
+    kern = ExtremalTwoType(base.latent, base.infectious, base.total_rates, fast_pair)
     return ModelConfig(population=pop, kernel=kern, initial_infecteds=(0,), seed=seed)
 
 

@@ -354,6 +354,47 @@ def test_config_fuzz_single_mutations_exit_cleanly(tmp_path, capsys):
             ("marked", "lazy", 0), ("extremal", "simulate", 0), ("extremal", "lazy", 0)} <= reached
 
 
+# A passing small run per subcommand on the README kernel at n = 500, and the
+# flags whose values the flag fuzzer replaces one at a time.
+_FLAG_RUNS = {
+    "simulate": (["simulate", "--replicates", "2"], ["--replicates", "--threshold", "--threads"]),
+    "verify": (["verify", "--replicates", "2"],
+               ["--replicates", "--threshold", "--threads", "--slack"]),
+    "backward": (["backward", "--roots-per-type", "1"],
+                 ["--roots-per-type", "--t-star", "--kappa", "--roots"]),
+    "bp-estimate": (["bp-estimate", "--type", "1", "--replicates", "2", "--horizon", "3"],
+                    ["--type", "--replicates", "--horizon", "--cap"]),
+    "bounds": (["bounds", "--p1", "0.5", "--m1", "2", "--m2", "2"], ["--p1", "--m1", "--m2"]),
+    "sweep": (["sweep", "--p1-grid", "0.5", "--m1-grid", "2", "--m2-grid", "2"],
+              ["--p1-grid"]),
+}
+_FLAG_VALUES = ["0", "-1", "nan", "inf", "-inf", "1e308", str(2**63), "1.5", "true", ""]
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    (command, flag, value) for command, (_, flags) in _FLAG_RUNS.items() for flag in flags
+    for value in _FLAG_VALUES
+    # a legal replicate count whose work has no bound
+    if not (command in ("simulate", "verify") and flag == "--replicates" and value == str(2**63))])
+def test_cli_flag_fuzz_exits_cleanly(tmp_path, capsys, command, flag, value):
+    # each run ends with a mapped exit code and no exception escapes main; a
+    # refusal ends with exactly one error line, after argparse's usage lines
+    argv, _ = _FLAG_RUNS[command]
+    argv = argv + [f"{flag}={value}", "--output-dir", str(tmp_path / "o")]
+    if command not in ("bounds", "sweep"):
+        argv += ["--config", str(tmp_path / "readme.json")]
+        (tmp_path / "readme.json").write_text(json.dumps(readme_scenario(500)))
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc in (0, 1, 2, 3) and "Traceback" not in err
+    if rc in (2, 3):
+        lines = err.splitlines()
+        said = [line for line in lines if "error:" in line or line.startswith(
+            ("numeric failure:", "out of memory:"))]
+        assert said == lines[-1:], err
+        assert all(line.startswith(("usage:", " ")) for line in lines[:-1]), err
+
+
 @pytest.mark.parametrize("value", [1e308, 2**70], ids=["1e308", "2**70"])
 @pytest.mark.parametrize("command", [["simulate", "--replicates", "4"],
                                      ["bp-estimate", "--type", "1", "--replicates", "2",
@@ -461,6 +502,16 @@ def test_verify_bad_slack_is_usage_error(tmp_path, capsys, slack):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error:") and "--slack" in err
     assert not (tmp_path / "o" / "verify.csv").exists()
+
+
+def test_verify_zero_replicates_is_usage_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path, symmetric_marked_config(n=400, seed=5))
+    rc = main(["verify", "--config", cfg, "--replicates", "0",
+               "--output-dir", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and "replicate" in err
+    assert [p.name for p in (tmp_path / "o").iterdir()] == []
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])
@@ -658,6 +709,23 @@ def test_bp_estimate_outputs_byte_identical(tmp_path):
     assert _readme_digests(tmp_path, 2000, argv + ["--type", "1"], names) == {
         "bp_replicates.csv": "d96254db8bdae8c1576598795a61532de083e8a0939541cf2bd61cf4e6a6c171",
         "bp_summary.csv": "1c0f5fa3135c70c07854011cf5944abcb0b404605037ad5c4ef60b5c3e6df639",
+    }
+
+
+def test_extremal_outputs_byte_identical(tmp_path):
+    # The README digests never reach this kernel; its config_hash heads every CSV.
+    cfg = _write_config(tmp_path, extremal_config(2000))
+    digests = {}
+    for argv, names in ((["simulate", "--replicates", "40"], ["replicates.csv", "summary.csv"]),
+                        (["bounds"], ["bounds.csv"])):
+        out = tmp_path / argv[0]
+        assert main(argv + ["--config", cfg, "--no-timestamp", "--output-dir", str(out)]) == 0
+        digests.update({name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                        for name in names})
+    assert digests == {
+        "replicates.csv": "ea6c3ac3fcc8c95392a7fe5eb0ecbddd6307461ef54e8818ff30dd0ab738ed66",
+        "summary.csv": "67b44987ad4c9cb3dfcf8cf9d7e66c54557005e9304aff320495a8cc95df648c",
+        "bounds.csv": "be06e24fa18bf8b4bdb001d5c61be39aabf8519f30c25fd78d24228d72e753b4",
     }
 
 

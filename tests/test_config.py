@@ -438,6 +438,19 @@ def test_json_round_trip(tmp_path):
     assert loaded.initial_infecteds == cfg.initial_infecteds
 
 
+def test_extremal_json_round_trip_and_base_variants():
+    # the kernel is itself a marked kernel, but its JSON base must be a plain one
+    d = config_to_dict(extremal_config(1000, fast_pair=(2, 1)))
+    again = config_from_dict(json.loads(json.dumps(d)))
+    assert config_to_dict(again) == d and again.kernel.fast_pair == (2, 1)
+    assert isinstance(again.kernel, MarkedSingleProcess)
+    for base in (config_to_dict(readme_config(1000))["kernel"], d["kernel"]):
+        bad = json.loads(json.dumps(d))
+        bad["kernel"]["base"] = base
+        with pytest.raises(ConfigError, match="base must be a marked_single kernel"):
+            config_from_dict(bad)
+
+
 def test_json_missing_field_rejected():
     with pytest.raises(ConfigError):
         config_from_dict({"population": {"n": 10}})

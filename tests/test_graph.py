@@ -268,8 +268,9 @@ def test_draw_out_edges_ids_only_label_tails():
 def test_head_draws_pinned():
     # a group of 5 out of 5 collides unless the first draws form a
     # permutation (probability 5!/5^5)
-    heads = _draw_heads_without_replacement(np.random.default_rng(7), 10, 5,
-                                            np.array([5, 1, 4, 0, 2, 5]))
+    counts = np.array([5, 1, 4, 0, 2, 5])
+    heads = _draw_heads_without_replacement(np.random.default_rng(7), 10, 5, counts,
+                                            np.repeat(np.arange(len(counts)), counts))
     assert heads.tolist() == [13, 10, 12, 14, 11, 13, 11, 13, 14, 12, 11, 14, 12, 14, 13, 11, 10]
 
 
