@@ -261,11 +261,12 @@ def analytic_report(p1: float, m1_tilde: float, m2_tilde: float) -> AnalyticRepo
     """Evaluate the whole fixed-point layer for a two-type marked model with R0 > 1."""
     if not (0 < p1 < 1):
         raise DomainError("p1 must lie in (0, 1)")
-    if m1_tilde < 0 or m2_tilde < 0:
-        raise DomainError("type reproduction numbers must be >= 0")
+    for name, m in (("m1_tilde", m1_tilde), ("m2_tilde", m2_tilde)):
+        if not 0 <= m < np.inf:  # also rejects NaN
+            raise DomainError(f"{name} must be finite and >= 0, got {m}")
     p2 = 1.0 - p1
     r0_value = p1 * m1_tilde + p2 * m2_tilde
-    if r0_value <= 1.0:
+    if not r0_value > 1.0:
         raise DomainError(f"bounds require R0 > 1, got {r0_value}")
     q = fixed_point_q(r0_value).value
     qt1, qt2 = fixed_point_qtilde(p1 * m1_tilde).value, fixed_point_qtilde(p2 * m2_tilde).value

@@ -3,7 +3,11 @@ martingale-limit estimates, and the Monte Carlo attribution formula.
 
 Particles of type j bear type-i children with Poisson((p_i/p_j) m_ij)
 counts, at ages drawn by ``ContactAgeLaw.sample``: the latent period of
-type i plus the stationary excess of its infectious period.  Particles
+type i plus the stationary excess of its infectious period.  For a gamma
+period of shape k = 2 or 3 that excess is Gamma(J, rate), J uniform on
+1..k: one exponential per child, J - 1 from one uint8 draw, and the
+second and third exponentials only for the children with J > 1 and
+J > 2.  Particles
 never die.  A kernel without that law, the extremal one, is refused
 before any draw.  The Malthusian parameter makes the
 Laplace-transformed backward mean matrix critical, and e^(-alpha t)
@@ -22,6 +26,14 @@ when the run had no birth in [T/2, T]: that no-growth rule is the
 extinction surrogate shared by ``estimate_W``, ``estimate_rho_bp`` and
 ``extinction_frequency``.  W runs grow ``_PARTICLES`` * e^(-alpha T)
 roots at a time, about ``_PARTICLES`` * E[W] particles at any horizon.
+
+``estimate_rho_bp`` needs only the ratios of the W of a replicate's
+subtrees, so it passes each root's replicate as its group and its
+batches end at replicate boundaries.  Once a replicate's only subtree
+that can still end with W > 0 has a birth in [T/2, T], the replicate's
+share is fixed, and that settled subtree stops growing: its W is only
+known to be positive.  ``estimate_W`` and ``extinction_frequency`` pass
+no groups and grow every run to T or to the cap.
 """
 
 from __future__ import annotations
@@ -122,16 +134,34 @@ def solve_malthusian(config: ModelConfig) -> MalthusianSolution:
 # simulation
 # --------------------------------------------------------------------------
 
+def _settled(growing: np.ndarray, last_birth: np.ndarray, horizon: float,
+             groups: np.ndarray) -> np.ndarray:
+    """Runs whose group's outcome is fixed: growing, with a birth in [T/2, T],
+    and the group's only open run.
+
+    A run is open while it is growing or has such a birth; a closed run
+    has finished with W = 0.  ``groups`` holds 0-based ids below the run
+    count.
+    """
+    late = last_birth >= horizon / 2.0
+    n_open = np.bincount(groups[growing | late], minlength=len(groups))
+    return growing & late & (n_open[groups] == 1)
+
+
 def _simulate_batch(config: ModelConfig, root_types0: np.ndarray, horizon: float,
-                    cap: int, rng: np.random.Generator, stop_on_cap: bool = False):
+                    cap: int, rng: np.random.Generator, stop_on_cap: bool = False,
+                    groups: Optional[np.ndarray] = None):
     """Simulate independent backward runs generation by generation.
 
     Returns (sizes, last_birth, capped) per run.  Capped runs stop
     growing once their size exceeds the cap; their counts are lower
     bounds and must not be used for W estimates.  With ``stop_on_cap``
     the batch stops at the generation where the first run passes the cap.
-    A generation is a list of (type, run ids, birth times) blocks: one
-    per stretch of equal root types, then one per child type.
+    With ``groups``, one id per run, a run that ``_settled`` finds to be
+    its group's only open run, with a birth in [T/2, T], stops growing
+    too; its W is then only known to be positive.  A generation is a
+    list of (type, run ids, birth times) blocks: one per stretch of equal
+    root types, then one per child type.
     """
     laws = [config.kernel.contact_age(i0) for i0 in range(config.k)]
     mb = backward_mean_matrix(config)
@@ -143,10 +173,13 @@ def _simulate_batch(config: ModelConfig, root_types0: np.ndarray, horizon: float
     last_birth = np.zeros(n_runs)
     capped = np.zeros(n_runs, dtype=bool)
 
+    if groups is not None:
+        groups = np.unique(groups, return_inverse=True)[1]
     bounds = np.flatnonzero(np.diff(types0)) + 1
     gen = [(int(types0[a]), np.arange(a, b, dtype=np.int32), np.zeros(b - a))
            for a, b in zip(np.r_[0, bounds], np.r_[bounds, n_runs]) if b > a]
     while gen:
+        before = sizes.copy() if groups is not None else None
         nxt = []
         for i0 in range(config.k):
             totals = [rng.poisson(mb[t, i0] * len(run)) for t, run, _ in gen]
@@ -169,13 +202,16 @@ def _simulate_batch(config: ModelConfig, root_types0: np.ndarray, horizon: float
             sizes += np.bincount(child_run, minlength=n_runs)
             np.maximum.at(last_birth, child_run, birth)
             nxt.append((i0, child_run, birth))
-        over = sizes > cap
-        if over.any():
-            capped |= over
+        halted = sizes > cap
+        if halted.any():
+            capped |= halted
             if stop_on_cap:
                 break
+        if groups is not None:
+            halted |= _settled(sizes > before, last_birth, horizon, groups)
+        if halted.any():
             for b, (t, run, times) in enumerate(nxt):
-                alive = ~capped[run]
+                alive = ~halted[run]
                 nxt[b] = (t, run[alive], times[alive])
         gen = nxt
     return sizes, last_birth, capped
@@ -203,28 +239,39 @@ def _no_growth(sizes: np.ndarray, last_birth: np.ndarray, horizon: float) -> np.
 
 
 def _w_values(config: ModelConfig, root_types0: np.ndarray, horizon: float,
-              alpha: float, cap: int, rng: np.random.Generator) -> np.ndarray:
+              alpha: float, cap: int, rng: np.random.Generator,
+              groups: Optional[np.ndarray] = None) -> np.ndarray:
     """W = e^(-alpha T) * size(T) per root, 0 under the extinction surrogate.
 
     A run's size at T grows like e^(alpha T), so batches of ``_PARTICLES``
     * e^(-alpha T) roots (at least one) hold about ``_PARTICLES`` * E[W]
-    particles.  A batch stops at the generation where its first run passes
-    the cap, which then raises, since that run's size is only a lower bound.
+    particles.  With sorted ``groups`` a batch runs on to the end of its
+    last group, so each group settles within one batch, and a settled
+    run's W is only known to be positive.  A batch stops at the
+    generation where its first run passes the cap, which then raises,
+    since that run's size is only a lower bound.
     """
     scale = np.exp(-alpha * horizon)  # underflows to 0 past alpha T = 745: batches of 1
     batch = max(1, int(_PARTICLES * scale))
-    w = np.empty(len(root_types0))
-    for start in range(0, len(root_types0), batch):
-        idx = slice(start, start + batch)
-        sizes, last_birth, capped = _simulate_batch(config, root_types0[idx], horizon, cap,
-                                                    rng, stop_on_cap=True)
+    n = len(root_types0)
+    w = np.empty(n)
+    start = 0
+    while start < n:
+        stop = min(start + batch, n)
+        if groups is not None:
+            stop = int(np.searchsorted(groups, groups[stop - 1], side="right"))
+        idx = slice(start, stop)
+        sizes, last_birth, capped = _simulate_batch(
+            config, root_types0[idx], horizon, cap, rng, stop_on_cap=True,
+            groups=None if groups is None else groups[idx])
         if capped.any():
             raise CapExceededError(f"branching population cap {cap} passed at horizon "
-                                   f"{horizon:.4g} after {start} of {len(root_types0)} "
+                                   f"{horizon:.4g} after {start} of {n} "
                                    "subtrees; lower the horizon or raise the cap")
         w_batch = scale * sizes
         w_batch[_no_growth(sizes, last_birth, horizon)] = 0.0
         w[idx] = w_batch
+        start = stop
     return w
 
 
@@ -284,7 +331,11 @@ def estimate_rho_bp(config: ModelConfig, j: int, R: int, horizon: Optional[float
     carries an independent martingale-limit estimate, and the replicate
     contributes the exponentially discounted share of each type on the
     event that any subtree survives.  The mean is normalized by the
-    survival probability of a type-j root.
+    survival probability of a type-j root.  A replicate whose one
+    positive subtree has a birth in [T/2, T] has share 1 for that
+    subtree's type, whatever its size, so that subtree stops growing
+    there; ``cap`` can only be passed by a subtree of a replicate that is
+    still undecided.
 
     Returns (rho, stderr): length-K arrays; stderr is NaN when R = 1, as
     one sample has no standard error.  With ``details=True`` the
@@ -315,7 +366,7 @@ def estimate_rho_bp(config: ModelConfig, j: int, R: int, horizon: Optional[float
             continue
         tau[sel] = config.kernel.contact_age(i0).sample(rng, n_sel)
 
-    w = _w_values(config, type_of, horizon, alpha, cap, rng)
+    w = _w_values(config, type_of, horizon, alpha, cap, rng, groups=rep_of)
     disc = np.exp(-alpha * tau) * w
     num = np.zeros((R, k))
     np.add.at(num, (rep_of, type_of), disc)

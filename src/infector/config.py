@@ -159,15 +159,19 @@ class Duration:
 
     def sample_excess(self, rng: np.random.Generator, size=None):
         """U * T* for U uniform on (0, 1) and T* length-biased: the stationary excess
-        P(T > t) / E[T]; at integer shape k <= 3, gamma(J, rate) with J uniform on 1..k."""
+        P(T > t) / E[T]; at integer shape k <= 3, gamma(J, rate) with J uniform on 1..k,
+        whose J - 1 further exponentials are drawn only for the children that need them."""
         shape = 0.0 if self.kind == "constant" else self.shape
         if shape == 1.0:
             return rng.exponential(1.0 / self.rate, size=size)
-        if shape in (2.0, 3.0):  # the first J of k exponentials, J - 1 = floor(k U)
-            k = int(shape)
-            e = rng.standard_exponential((k,) if size is None else (k, size))
-            j = k * rng.random(size)
-            return sum((e[i] * (j >= i) for i in range(1, k)), e[0]) / self.rate
+        if shape in (2.0, 3.0):  # the first J of k exponentials, drawn only as needed
+            x = rng.standard_exponential(1 if size is None else size)
+            extra = rng.integers(0, int(shape), x.shape, dtype=np.uint8)  # J - 1
+            for i in range(1, int(shape)):
+                more = np.flatnonzero(extra >= i)
+                x[more] += rng.standard_exponential(len(more))
+            x /= self.rate
+            return x[0] if size is None else x
         return self.sample_size_biased(rng, size=size) * rng.random(size)
 
 
@@ -265,7 +269,10 @@ class ContactAgeLaw:
         """``size`` ages: the latent period, drawn first, plus I's ``sample_excess``."""
         latent = self.latent
         lat = latent.value if latent.kind == "constant" else latent.sample(rng, size=size)
-        return self.infectious.sample_excess(rng, size=size) + lat
+        age = self.infectious.sample_excess(rng, size=size)
+        if latent.kind != "constant" or lat:
+            age += lat
+        return age
 
 
 @dataclass(frozen=True)

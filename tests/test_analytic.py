@@ -502,6 +502,14 @@ def test_bounds_match_rho21_min_complement():
     )
 
 
+@pytest.mark.parametrize("m", [math.nan, math.inf, -0.5], ids=repr)
+def test_analytic_report_refuses_bad_m_tilde_by_name(m):
+    with pytest.raises(DomainError, match=r"m1_tilde must be finite and >= 0"):
+        analytic_report(0.5, m, 2.0)
+    with pytest.raises(DomainError, match=r"m2_tilde must be finite and >= 0"):
+        analytic_report(0.5, 2.0, m)
+
+
 def test_analytic_report_invariants():
     rep = analytic_report(0.5, 2.0, 2.0)
     assert 0.0 < rep.q < 1.0

@@ -11,6 +11,7 @@ from scipy.optimize import brentq
 
 import infector.branching
 from infector.branching import (
+    _settled,
     _simulate_batch,
     backward_mean_matrix,
     estimate_W,
@@ -353,11 +354,14 @@ def test_batch_simulator_slices_keep_draw_order(monkeypatch, slice_len, case):
 def test_batch_simulator_draws_pinned():
     # recorded with the Poisson-splitting generation step: one Poisson
     # total per parent block and child type, then per slice of children
-    # the parent ids and the ages (ContactAgeLaw.sample)
+    # the parent ids and the ages (ContactAgeLaw.sample).  A gamma-2 or
+    # gamma-3 excess draws one exponential per child, J - 1 as one uint8
+    # draw, then the further exponentials only for the children that
+    # need them
     out = _simulate_batch(readme_config(100), np.arange(1000) % 2, 6.0, 1_000_000,
                           stream(7, "pinned"))
     digest = hashlib.sha256(b"".join(a.tobytes() for a in out)).hexdigest()
-    assert digest == "deb228bb54bd4839557e3fe182eb0c1b3f651b58a19f12982cc5d06204ff4e63"
+    assert digest == "c2116bc81fd52ee8d0a365c2bb3e6138fd6fda64ff11834db1e95f07a20aeec7"
 
 
 def test_batch_simulator_rejects_offspring_means_past_int32():
@@ -536,6 +540,88 @@ def test_estimate_W_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 8e6
+
+
+# --------------------------------------------------------------------------
+# settled subtrees
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("growing, last_birth, groups, settled", [
+    # a lone open run with a birth in [T/2, T] is dropped
+    ([True], [6.0], [0], [True]),
+    # two positive runs of one group are both kept
+    ([True, True], [6.0, 7.0], [0, 0], [False, False]),
+    # a positive run is kept while a sibling is still growing
+    ([True, True], [6.0, 2.0], [0, 0], [False, False]),
+    # ...and dropped once its siblings have finished with W = 0
+    ([True, False], [6.0, 2.0], [0, 0], [True, False]),
+    ([True, False, False], [6.0, 0.0, 4.9], [1, 1, 1], [True, False, False]),
+    # a finished positive run needs nothing, and an early birth settles nothing
+    ([False, True], [6.0, 4.0], [0, 1], [False, False]),
+    # groups are independent
+    ([True, True, True, True], [6.0, 9.0, 8.0, 1.0], [0, 1, 1, 2], [True, False, False, False]),
+])
+def test_settle_rule_on_hand_made_generations(growing, last_birth, groups, settled):
+    # horizon 10: a birth at or after 5 makes a run's W positive
+    out = _settled(np.array(growing), np.array(last_birth), 10.0, np.array(groups))
+    assert out.tolist() == settled
+
+
+def test_settled_runs_stop_growing():
+    # with every root its own group, a run stops at the first generation
+    # with a birth in [T/2, T], so positive runs end far smaller than
+    # when grown to T
+    cfg = readme_config(100)
+    roots = np.arange(200) % 2
+    alone = _simulate_batch(cfg, roots, 8.0, 1_000_000, stream(5, "settle"),
+                            groups=np.arange(200))
+    full = _simulate_batch(cfg, roots, 8.0, 1_000_000, stream(5, "settle"))
+    for sizes, last_birth, capped in (alone, full):
+        assert not capped.any()
+        positive = (sizes > 1) & (last_birth >= 4.0)
+        assert 20 < positive.sum() < 200
+    assert alone[0][alone[1] >= 4.0].sum() * 10 < full[0][full[1] >= 4.0].sum()
+
+
+def test_w_batches_never_split_a_replicate(monkeypatch):
+    # batches of a few roots run on to the end of their last replicate
+    monkeypatch.setattr(infector.branching, "_PARTICLES", 1 << 8)
+    cfg = readme_config(1000)
+    calls = []
+
+    def recorder(config, root_types0, *args, groups=None, **kwargs):
+        calls.append((np.array(root_types0), groups))
+        return _simulate_batch(config, root_types0, *args, groups=groups, **kwargs)
+
+    monkeypatch.setattr(infector.branching, "_simulate_batch", recorder)
+    estimate_rho_bp(cfg, 1, R=300, horizon=4.0, rng=stream(3, "split"))
+    alpha = solve_malthusian(cfg).alpha
+    batch = max(1, int((1 << 8) * math.exp(-alpha * 4.0)))
+    groups = [g for _, g in calls]
+    assert len(groups) > 10 and all(len(r) == len(g) for r, g in calls)
+    assert all(len(g) >= batch for g in groups[:-1])
+    assert np.all(np.diff(np.concatenate(groups)) >= 0)
+    assert all(a[-1] < b[0] for a, b in zip(groups, groups[1:]))
+
+
+@pytest.mark.parametrize("name, j, R, horizon", [("readme", 1, 2000, 8.0),
+                                                  ("marked", 2, 2000, 5.5)])
+def test_settle_rule_agrees_with_full_growth(monkeypatch, name, j, R, horizon):
+    # settling is exact in law: a replicate with one positive subtree has
+    # share 1 for that subtree's type whatever its size.  Growing every
+    # subtree to T (groups forced to None) must agree within 4 sigma.
+    # Both horizons are about 7/alpha.
+    cfg = {"readme": readme_config(1000),
+           "marked": marked_config(100, 0.4, 3.0, 2.0, seed=5)}[name]
+    settled = estimate_rho_bp(cfg, j, R, horizon=horizon, rng=stream(28, name, "settled"))
+
+    def ungrouped(*args, groups=None, **kwargs):
+        return _simulate_batch(*args, **kwargs)
+
+    monkeypatch.setattr(infector.branching, "_simulate_batch", ungrouped)
+    full = estimate_rho_bp(cfg, j, R, horizon=horizon, rng=stream(28, name, "full"))
+    for i in range(cfg.k):
+        assert abs(settled[0][i] - full[0][i]) < 4 * math.hypot(settled[1][i], full[1][i])
 
 
 # --------------------------------------------------------------------------

@@ -690,25 +690,29 @@ def test_simulate_default_method_is_eager(tmp_path):
 def test_bp_estimate_outputs_byte_identical(tmp_path):
     # Digests recorded with the Poisson-splitting generation step of the
     # branching simulator, ages drawn through ContactAgeLaw.sample (the
-    # infectious period's stationary excess) and W subtrees grown in
-    # batches of _PARTICLES * e^(-alpha T) roots.  At --horizon 5 a batch
+    # infectious period's stationary excess; a gamma-2 excess draws its
+    # second exponential only when J = 2) and W subtrees grown in batches
+    # of _PARTICLES * e^(-alpha T) roots, each run on to the end of its
+    # last replicate, in which a replicate's one positive subtree stops
+    # growing once it has a birth in [T/2, T].  At --horizon 5 a batch
     # holds 7,962 roots, so 2500 replicates put their ~5000
     # first-generation subtrees in one batch.
     argv = ["bp-estimate", "--replicates", "2500", "--horizon", "5", "--force"]
     names = ["bp_replicates.csv", "bp_summary.csv"]
     assert _readme_digests(tmp_path, 2000, argv + ["--type", "1"], names) == {
-        "bp_replicates.csv": "750fe8f1ccd7c1eab7660acfc4bad198668ff3357bb4b0c5b8b28ab7698df5d4",
-        "bp_summary.csv": "ab9637d932e8ab6653205cd702f85121589ed1c3f678022bf3b67baf1c69fdc3",
+        "bp_replicates.csv": "e751a3a20166cee95ef31215ce72b08e6ede1b916fa6c1b756e90a1fe6656d3c",
+        "bp_summary.csv": "a06159ea84c1345f9aa9b43a48ea3b324794b49aa22995362926956ef57335f8",
     }
     assert _readme_digests(tmp_path, 2000, argv + ["--type", "2"], names) == {
-        "bp_replicates.csv": "7de26fc881268c566ad69ef8e72039ad5ab3c28335f980f74f54821e85e2a11a",
-        "bp_summary.csv": "3b3285925d70bdfa6e7680bdd5ea137e1fa8a8b0c34e7ea5751ad5b3a637c59c",
+        "bp_replicates.csv": "2101b49e7dad73e8c46bc7a119a8c10e4605f62670710e2852454011b5dbbff1",
+        "bp_summary.csv": "38ac3cfe156867fc50db841aef5e5786388aa591ef62fa0323ee6fab364f68ce",
     }
-    # at --horizon 8 a batch holds 645 roots: ~2000 subtrees span four batches
+    # at --horizon 8 a batch holds 645 roots and the rest of its last
+    # replicate: ~2000 subtrees span four batches
     argv = ["bp-estimate", "--replicates", "1000", "--horizon", "8", "--force"]
     assert _readme_digests(tmp_path, 2000, argv + ["--type", "1"], names) == {
-        "bp_replicates.csv": "d96254db8bdae8c1576598795a61532de083e8a0939541cf2bd61cf4e6a6c171",
-        "bp_summary.csv": "1c0f5fa3135c70c07854011cf5944abcb0b404605037ad5c4ef60b5c3e6df639",
+        "bp_replicates.csv": "bc524ef8e00e86f74be4f0676ad59752cd8716a88ecd9c79ac3c6ac76129792e",
+        "bp_summary.csv": "1488daa6141792240fb2fc445175d6d2428bc5eeee2626852deec4f01bd2a295",
     }
 
 
@@ -990,6 +994,17 @@ def test_bounds_ordered_just_above_criticality(tmp_path):
 
 def test_bounds_requires_parameters():
     assert main(["bounds", "--p1", "0.5"]) == 2
+
+
+@pytest.mark.parametrize("m1,m2,name", [("nan", "2", "m1"), ("inf", "2", "m1"),
+                                         ("2", "nan", "m2")])
+def test_bounds_refuses_non_finite_m_tilde_by_name(capsys, m1, m2, name):
+    # a NaN once reached fixed_point_q, and inf the mean-matrix check, whose
+    # messages named neither flag
+    assert main(["bounds", "--p1", "0.5", "--m1", m1, "--m2", m2]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert f"{name}_tilde must be finite and >= 0" in err
 
 
 def test_bounds_from_config(tmp_path, capsys):

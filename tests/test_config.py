@@ -111,6 +111,16 @@ def test_sample_excess_matches_excess_cdf(d):
         assert abs((x <= a).mean() - f) <= 5 * sigma, c
 
 
+@pytest.mark.parametrize("shape", [2.0, 3.0])
+def test_sample_excess_without_size_is_a_scalar(shape):
+    # the shape-2 and shape-3 draw works on arrays; size=None still gives one number
+    d = Duration.gamma(shape, 0.7)
+    rng = stream(8, "excess-scalar", shape)
+    for _ in range(50):
+        x = d.sample_excess(rng)
+        assert np.ndim(x) == 0 and np.isfinite(x) and x >= 0
+
+
 @given(rate=st.floats(min_value=1e-3, max_value=1e3))
 @settings(max_examples=30, deadline=None)
 def test_exponential_is_gamma_shape_one(rate):
