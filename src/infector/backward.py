@@ -73,13 +73,6 @@ def _row_entries(indptr, rows):
     return starts + np.arange(len(starts))
 
 
-def _check_root(graph: EpidemicGraph, v) -> int:
-    """Root v as an int; DomainError unless it is a vertex id of graph."""
-    if not (isinstance(v, (int, np.integer)) and 0 <= v < graph.n):
-        raise DomainError(f"root {v!r} is not a vertex id in 0..{graph.n - 1}")
-    return int(v)
-
-
 def explore_susceptibility(graph: EpidemicGraph, v: int, t_star: float) -> SusceptibilitySnapshot:
     """Reverse shortest paths from v, keeping vertices with distance <= t_star.
 
@@ -88,7 +81,7 @@ def explore_susceptibility(graph: EpidemicGraph, v: int, t_star: float) -> Susce
     """
     from scipy.sparse.csgraph import dijkstra
 
-    v = _check_root(graph, v)
+    v = graph.population.vertex_id(v, "root")
     if not t_star >= 0:  # also rejects NaN
         raise DomainError(f"t_star must be >= 0, got {t_star}")
     rev = graph.reverse_matrix()
@@ -129,8 +122,8 @@ def restricted_susceptibility_size(graph: EpidemicGraph, v_star: int, i: int, j:
     """
     from scipy.sparse.csgraph import breadth_first_order
 
-    v_star = _check_root(graph, v_star)
     pop = graph.population
+    v_star = pop.vertex_id(v_star, "root")
     i0, j0 = pop.type_index(i), pop.type_index(j)
     if pop.type_of(v_star) != j0:
         raise DomainError(f"v_star={v_star} is not of type {j}")

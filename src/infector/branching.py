@@ -22,7 +22,7 @@ type-i children, each with a uniform parent: the law of L independent
 Poisson(m) counts.  Memory is 12 bytes per live particle, plus the kept
 children of the type being drawn and the temporaries of one slice of
 ``_SLICE`` children.  W is estimated as e^(-alpha T) * size(T), and as 0
-when the run had no birth in [T/2, T]: that no-growth rule is the
+when the run had no birth in [T/2, T]: that rule, ``_late``, is the
 extinction surrogate shared by ``estimate_W``, ``estimate_rho_bp`` and
 ``extinction_frequency``.  W runs grow ``_PARTICLES`` * e^(-alpha T)
 roots at a time, about ``_PARTICLES`` * E[W] particles at any horizon.
@@ -107,7 +107,7 @@ def solve_malthusian(config: ModelConfig) -> MalthusianSolution:
     """
     basic = r0(mean_matrix(config))
     if basic <= 1.0:
-        raise DomainError(f"Malthusian parameter requires R0 > 1, got R0 = {basic}")
+        raise DomainError(f"Malthusian parameter requires R0 > 1, got R0 = {basic:.6g}")
 
     def g(x):
         return r0(laplace_mean_matrix(config, x), require_irreducible=False) - 1.0
@@ -134,6 +134,11 @@ def solve_malthusian(config: ModelConfig) -> MalthusianSolution:
 # simulation
 # --------------------------------------------------------------------------
 
+def _late(last_birth: np.ndarray, horizon: float) -> np.ndarray:
+    """Runs with a birth in [T/2, T]: W is 0 for every other run, a childless one included."""
+    return last_birth >= horizon / 2.0
+
+
 def _settled(growing: np.ndarray, last_birth: np.ndarray, horizon: float,
              groups: np.ndarray) -> np.ndarray:
     """Runs whose group's outcome is fixed: growing, with a birth in [T/2, T],
@@ -143,7 +148,7 @@ def _settled(growing: np.ndarray, last_birth: np.ndarray, horizon: float,
     has finished with W = 0.  ``groups`` holds 0-based ids below the run
     count.
     """
-    late = last_birth >= horizon / 2.0
+    late = _late(last_birth, horizon)
     n_open = np.bincount(groups[growing | late], minlength=len(groups))
     return growing & late & (n_open[groups] == 1)
 
@@ -233,11 +238,6 @@ def _check_bp_args(config: ModelConfig, root_type: int, R: int, horizon: float,
     return j0
 
 
-def _no_growth(sizes: np.ndarray, last_birth: np.ndarray, horizon: float) -> np.ndarray:
-    """Extinction surrogate: no birth at all, or none in [T/2, T]."""
-    return (sizes <= 1) | (last_birth < horizon / 2.0)
-
-
 def _w_values(config: ModelConfig, root_types0: np.ndarray, horizon: float,
               alpha: float, cap: int, rng: np.random.Generator,
               groups: Optional[np.ndarray] = None) -> np.ndarray:
@@ -269,7 +269,7 @@ def _w_values(config: ModelConfig, root_types0: np.ndarray, horizon: float,
                                    f"{horizon:.4g} after {start} of {n} "
                                    "subtrees; lower the horizon or raise the cap")
         w_batch = scale * sizes
-        w_batch[_no_growth(sizes, last_birth, horizon)] = 0.0
+        w_batch[~_late(last_birth, horizon)] = 0.0
         w[idx] = w_batch
         start = stop
     return w
@@ -310,10 +310,10 @@ def extinction_frequency(config: ModelConfig, root_type: int, R: int, horizon: f
     j0 = _check_bp_args(config, root_type, R, horizon, cap)
     if rng is None:
         rng = rngmod.stream(config.seed, "bp-extinction")
-    sizes, last_birth, capped = _simulate_batch(
+    _, last_birth, capped = _simulate_batch(
         config, np.full(R, j0, dtype=np.int64), horizon, cap, rng
     )
-    extinct = ~capped & _no_growth(sizes, last_birth, horizon)
+    extinct = ~(capped | _late(last_birth, horizon))
     return float(extinct.mean())
 
 

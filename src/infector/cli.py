@@ -4,8 +4,8 @@ Subcommands: simulate, backward, bp-estimate, bounds, verify, sweep.
 Scenarios are JSON files (see README for the schema); outputs are CSV
 with header rows and 17-significant-digit reals.  Every output embeds
 the config hash and seed; existing files are never overwritten without
---force.  ``main`` loads the config, resolves the seed and opens every
-output a subcommand declares before any work, so a bad config or an
+--force.  ``main`` loads the config, writes ``--seed`` into it and opens
+every output a subcommand declares before any work, so a bad config or an
 existing output exits 2 with nothing written.  Exit status: 0 all
 verdicts pass, 1 verdict failure, 2 usage, configuration or path error,
 3 numeric failure or out of memory.
@@ -19,7 +19,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import astuple, fields
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 
@@ -109,16 +109,17 @@ def _marked_params(config: ModelConfig):
 
 
 # --------------------------------------------------------------------------
-# subcommands: cmd_x(args, config, seed, out) computes and writes; ``out``
-# maps each declared output name to its CsvWriter.
+# subcommands: cmd_x(args, config, out) computes and writes; ``out``
+# maps each declared output name to its CsvWriter.  ``config.seed`` is
+# the run's seed, and every stream derives from it.
 # --------------------------------------------------------------------------
 
-def cmd_simulate(args, config, seed, out) -> int:
+def cmd_simulate(args, config, out) -> int:
     from .forward import aggregate_rho, replicate_records  # loads scipy.sparse
 
     records = replicate_records(
         config, args.replicates, threshold=args.threshold,
-        master_seed=seed, method=args.method, threads=args.threads,
+        method=args.method, threads=args.threads,
     )
     k = config.k
     rho_cols = [f"rho_{i}_{j}" for i in range(1, k + 1) for j in range(1, k + 1)]
@@ -146,7 +147,7 @@ def cmd_simulate(args, config, seed, out) -> int:
     return EXIT_PASS
 
 
-def cmd_backward(args, config, seed, out) -> int:
+def cmd_backward(args, config, out) -> int:
     pop = config.population
     if args.roots is not None:
         try:
@@ -156,7 +157,7 @@ def cmd_backward(args, config, seed, out) -> int:
     elif args.roots_per_type < 0:
         raise DomainError("--roots-per-type must be >= 0")
     else:
-        rng = rngmod.stream(seed, "backward-roots")
+        rng = rngmod.stream(config.seed, "backward-roots")
         roots = []
         for j0 in range(pop.k):
             ids = pop.vertices_of_type(j0)
@@ -168,7 +169,7 @@ def cmd_backward(args, config, seed, out) -> int:
     else:
         alpha = solve_malthusian(config).alpha
         t_star = default_t_star(pop.n, alpha, kappa=args.kappa)
-    graph = build_graph(config, rngmod.stream(seed, "graph"))
+    graph = build_graph(config)
 
     rows = []
     for v in roots:
@@ -187,11 +188,10 @@ def cmd_backward(args, config, seed, out) -> int:
     return EXIT_PASS
 
 
-def cmd_bp_estimate(args, config, seed, out) -> int:
-    rng = rngmod.stream(seed, "bp-estimate", args.type)
+def cmd_bp_estimate(args, config, out) -> int:
     rho, stderr, contrib = estimate_rho_bp(
         config, args.type, args.replicates, horizon=args.horizon,
-        rng=rng, cap=args.cap, details=True,
+        cap=args.cap, details=True,
     )
     k = config.k
     header = ["replicate"] + [f"share_{i}" for i in range(1, k + 1)]
@@ -206,7 +206,7 @@ def cmd_bp_estimate(args, config, seed, out) -> int:
     return EXIT_PASS
 
 
-def cmd_bounds(args, config, seed, out) -> int:
+def cmd_bounds(args, config, out) -> int:
     if config is not None:
         params = _marked_params(config)
         if params is None:
@@ -228,27 +228,18 @@ def cmd_bounds(args, config, seed, out) -> int:
     return EXIT_PASS
 
 
-def cmd_verify(args, config, seed, out) -> int:
+def cmd_verify(args, config, out) -> int:
     from .forward import replicate_rho  # loads scipy.sparse
 
     if not (np.isfinite(args.slack) and args.slack >= 0):  # also rejects NaN
         raise DomainError(f"--slack must be finite and >= 0, got {args.slack}")
-    basic = r0(mean_matrix(config))
-    if basic <= 1.0:
-        raise DomainError(
-            f"supercriticality assumption violated: R0 = {basic:.6g} <= 1"
-        )
-    checks = []
-
-    fp = fixed_point_q(basic)
-    checks.append(("fixed-point-residual", 0.0, fp.residual, 1e-12,
-                   fp.residual < 1e-12))
-    sol = solve_malthusian(config)
-    checks.append(("malthusian-residual", 0.0, sol.residual, 1e-10,
-                   sol.residual < 1e-10))
+    sol = solve_malthusian(config)  # refuses R0 <= 1
+    fp = fixed_point_q(r0(mean_matrix(config)))
+    checks = [("fixed-point-residual", 0.0, fp.residual, 1e-12, fp.residual < 1e-12),
+              ("malthusian-residual", 0.0, sol.residual, 1e-10, sol.residual < 1e-10)]
 
     est = replicate_rho(config, args.replicates, threshold=args.threshold,
-                        master_seed=seed, threads=args.threads)
+                        threads=args.threads)
     col_err = float(np.nanmax(np.abs(np.nansum(est.mean, axis=0) - 1.0)))
     checks.append(("attribution-columns-sum", 1.0, 1.0 + col_err, 1e-12,
                    col_err < 1e-12))
@@ -280,7 +271,7 @@ def _grid(text: str) -> list:
             f"expected comma-separated numbers, got {text!r}") from None
 
 
-def cmd_sweep(args, config, seed, out) -> int:
+def cmd_sweep(args, config, out) -> int:
     n_outputs = len(_REPORT_COLUMNS) - 3
     rows = []
     for p1 in args.p1_grid:
@@ -389,17 +380,16 @@ def main(argv=None) -> int:
     try:
         # Everything that can refuse the run happens here, before any work.
         config = _load_valid_config(args.config) if getattr(args, "config", None) else None
-        seed = getattr(args, "seed", None)
-        if seed is None:
-            seed = config.seed if config else 0
+        chash = _config_hash(config) if config else ""  # of the file, before --seed
+        if getattr(args, "seed", None) is not None:  # only set where --config is required
+            config = replace(config, seed=args.seed)
         out = {}
         if args.output_dir is not None:  # only bounds may have no output directory
             os.makedirs(args.output_dir, exist_ok=True)
-            chash = _config_hash(config) if config else ""
             out = {name: CsvWriter(os.path.join(args.output_dir, name), args.force,
-                                   args.no_timestamp, chash, seed)
+                                   args.no_timestamp, chash, config.seed if config else 0)
                    for name in args.outputs}
-        return args.func(args, config, seed, out)
+        return args.func(args, config, out)
     except (ConfigError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

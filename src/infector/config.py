@@ -214,6 +214,12 @@ class PopulationSpec:
             raise DomainError(f"type {j} out of range 1..{self.k}")
         return int(j) - 1
 
+    def vertex_id(self, v, name: str) -> int:
+        """Vertex id v as an int; DomainError unless v is an integer, not a bool, in 0..n-1."""
+        if isinstance(v, bool) or not (isinstance(v, (int, np.integer)) and 0 <= v < self.n):
+            raise DomainError(f"{name} {v!r} is not a vertex id in 0..{self.n - 1}")
+        return int(v)
+
     def type_of(self, v):
         """0-based type index of vertex id(s) v, O(log K) per query."""
         return np.searchsorted(self._boundaries, np.asarray(v), side="right") - 1
@@ -378,9 +384,8 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "initial_infecteds", tuple(int(v) for v in self.initial_infecteds)
-        )
+        object.__setattr__(self, "initial_infecteds", tuple(
+            _integer(v, "initial_infecteds") for v in self.initial_infecteds))
 
     @property
     def k(self) -> int:
@@ -397,19 +402,16 @@ class ModelConfig:
 def resolve_initial(population: PopulationSpec, spec) -> tuple:
     """Resolve an initial-infected spec to concrete vertex ids.
 
-    Accepts an explicit vertex list or a list of (count, type) pairs
-    (1-based types), in which case the lowest ids of each type are used.
+    Accepts ``{"vertices": [ids]}`` or ``{"per_type": [[count, type], ...]}``
+    (1-based types), which seeds the lowest ids of each type.
     """
-    if isinstance(spec, dict):
-        if "vertices" in spec:
-            return tuple(_integer(v, "initial_infecteds.vertices") for v in spec["vertices"])
-        pairs = spec["per_type"]
-    else:
-        pairs = spec
-        if pairs and not isinstance(pairs[0], (list, tuple)):
-            return tuple(_integer(v, "initial_infecteds") for v in pairs)
+    if not isinstance(spec, dict):
+        raise ConfigError('initial_infecteds must be {"vertices": [...]} or '
+                          f'{{"per_type": [...]}}, got {type(spec).__name__}')
+    if "vertices" in spec:
+        return tuple(_integer(v, "initial_infecteds.vertices") for v in spec["vertices"])
     out = []
-    for count, t in pairs:
+    for count, t in spec["per_type"]:
         count = _integer(count, "initial_infecteds.per_type count")
         t = _integer(t, "initial_infecteds.per_type type")
         vs = population.vertices_of_type(population.type_index(t))
@@ -538,10 +540,9 @@ def eta_cdf(config: ModelConfig, i: int, j: int, t: float) -> float:
 # --------------------------------------------------------------------------
 
 def _duration_from_dict(d, field: str) -> Duration:
-    kind = d["kind"]
-    if kind not in _DURATION_PARAMS:
-        raise ConfigError(f"unknown duration kind {kind!r}")
-    return Duration(kind, **{k: float(_reals(d[k], f"{field}.{k}")) for k in _DURATION_PARAMS[kind]})
+    kind = d["kind"]  # Duration refuses an unknown kind
+    return Duration(kind, **{k: float(_reals(d[k], f"{field}.{k}"))
+                             for k in _DURATION_PARAMS.get(kind, ())})
 
 
 def _duration_to_dict(d: Duration):
@@ -584,7 +585,8 @@ def _kernel_to_dict(kern: Kernel):
 
 def _integer(value, name: str) -> int:
     # bool is an int subclass, but a JSON true is no count; counts and ids are int64
-    if isinstance(value, (str, bool)) or not (-2**63 <= value < 2**63 and float(value).is_integer()):
+    if isinstance(value, (str, bool, np.bool_)) or not (-2**63 <= value < 2**63
+                                                       and float(value).is_integer()):
         raise ConfigError(f"{name} must be a 64-bit integer, got {value!r}")
     return int(value)
 

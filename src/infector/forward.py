@@ -90,7 +90,7 @@ def _summarize(population, sigma, infector) -> OutbreakResult:
 
 def run_epidemic(graph: EpidemicGraph, v_init) -> OutbreakResult:
     """Exact multi-source shortest-path epidemic on a materialized graph."""
-    v_init = seed_vertices(v_init, graph.n)
+    v_init = seed_vertices(v_init, graph.population)
     dist, pred = dijkstra(graph.indptr, graph.heads, graph.weights, v_init)
     return _summarize(graph.population, dist, pred)
 
@@ -103,7 +103,7 @@ def run_epidemic_lazy(config: ModelConfig, rng: Optional[np.random.Generator] = 
     """
     if rng is None:
         rng = rngmod.stream(config.seed, "lazy")
-    seeds = seed_vertices(config.initial_infecteds, config.n)
+    seeds = seed_vertices(config.initial_infecteds, config.population)
     return run_epidemic(build_graph(config, rng, seeds=seeds, reach_only=True), seeds)
 
 
@@ -134,7 +134,7 @@ def _one_replicate(config: ModelConfig, master_seed: int, index: int, threshold:
                    method: str) -> dict:
     rng = rngmod.stream(master_seed, "replicate", index)
     if method == "eager":
-        seeds = seed_vertices(config.initial_infecteds, config.n)
+        seeds = seed_vertices(config.initial_infecteds, config.population)
         result = run_epidemic(build_graph(config, rng, seeds=seeds), seeds)
     elif method == "lazy":
         result = run_epidemic_lazy(config, rng)

@@ -5,9 +5,12 @@ out-edges toward type j are the points of one contact-process draw
 (truncated at n_j), with head labels chosen uniformly without
 replacement from the type-j vertices and edge weights equal to the point
 ages.  ``draw_out_edges`` is the one place that draws this law, and
-``build_graph`` its one caller: per type, on every vertex or on the
-vertices reached outward from seeds.  Graphs are immutable after
-construction and stored in CSR form.
+``build_graph`` its one caller: per type, on every vertex or outward
+from seeds.  A seeded build draws the seeds' lists, then round by round
+those of the vertices first reached; the round that would pass
+``_REVEAL`` lists draws every list left, unless ``reach_only``.  Lists
+are independent, so what the seeds reach has the law of the whole
+graph.  Graphs are immutable after construction and stored in CSR form.
 
 What a graph holds: the forward CSR in (tail, weight) order (int64 row
 pointers and heads, float64 weights: 8 B per vertex and 16 B per edge),
@@ -213,13 +216,11 @@ def _draw_heads_without_replacement(rng, base: int, n_j: int, counts: np.ndarray
     return heads
 
 
-def seed_vertices(v_init, n: int) -> np.ndarray:
-    """Sorted distinct seed ids; DomainError unless nonempty integers in [0, n)."""
-    seeds = set(v_init)
+def seed_vertices(v_init, population: PopulationSpec) -> np.ndarray:
+    """Sorted distinct seed ids; DomainError unless a nonempty set of vertex ids."""
+    seeds = {population.vertex_id(v, "seed") for v in v_init}
     if not seeds:
         raise DomainError("the initially infected set must be nonempty")
-    if not all(isinstance(v, (int, np.integer)) and 0 <= v < n for v in seeds):
-        raise DomainError(f"seed vertex ids must be integers in 0..{n - 1}")
     return np.array(sorted(seeds), dtype=np.int64)
 
 
@@ -228,20 +229,16 @@ def build_graph(config: ModelConfig, rng: Optional[np.random.Generator] = None,
     """Materialize a graph realization for a configuration.
 
     Identical (config, seed) pairs produce bit-identical graphs when no
-    explicit generator is passed.  Given ``seeds``, lists are drawn
-    outward from them round by round, and the round that would pass
-    ``_REVEAL`` lists draws all the rest; with ``reach_only`` no round
-    does, so exactly the lists of the vertices the seeds reach are
-    drawn.  Lists are i.i.d. given the tail's type, so what the seeds
-    reach has the law of the full build.  Seeds must be a nonempty set
-    of vertex ids (``DomainError`` otherwise).
+    explicit generator is passed.  ``seeds``, a nonempty set of vertex
+    ids, start the seeded build of the module docstring; with
+    ``reach_only`` it draws exactly the lists of the vertices they reach.
     """
     if rng is None:
         rng = rngmod.stream(config.seed, "graph")
     tails, heads, weights = [], [], []
     pop = config.population
     drawn = np.zeros(pop.n, dtype=bool)
-    new = np.arange(pop.n) if seeds is None else seed_vertices(seeds, pop.n)
+    new = np.arange(pop.n) if seeds is None else seed_vertices(seeds, pop)
     while new.size:
         if not reach_only and np.count_nonzero(drawn) + new.size > _REVEAL:
             new = np.flatnonzero(~drawn)
@@ -377,17 +374,25 @@ def dump_graph(graph: EpidemicGraph, path) -> None:
 
 
 def load_graph(path) -> EpidemicGraph:
+    """Read a ``dump_graph`` file; ConfigError names the first malformed line."""
+    tails, heads, weights = [], [], []
     with open(path) as fh:
-        n, k, seed = (int(x) for x in fh.readline().split())
-        counts = [int(x) for x in fh.readline().split()]
-        props = [float(x) for x in fh.readline().split()]
-        if len(counts) != k or len(props) != k:
-            raise ConfigError("graph header is inconsistent")
-        tails, heads, weights = [], [], []
-        for line in fh:
-            t, h, w = line.split()
-            tails.append(int(t))
-            heads.append(int(h))
-            weights.append(float(w))
+        lineno = 1
+        try:
+            n, k, seed = (int(x) for x in fh.readline().split())
+            lineno = 2
+            counts = [int(x) for x in fh.readline().split()]
+            lineno = 3
+            props = [float(x) for x in fh.readline().split()]
+            if len(counts) != k or len(props) != k:
+                raise ConfigError(f"graph header is inconsistent: k = {k} with "
+                                  f"{len(counts)} counts and {len(props)} proportions")
+            for lineno, line in enumerate(fh, start=4):
+                t, h, w = line.split()
+                tails.append(int(t))
+                heads.append(int(h))
+                weights.append(float(w))
+        except ValueError as exc:  # ConfigError too
+            raise ConfigError(f"{path} line {lineno}: {exc}") from None
     pop = PopulationSpec(n=n, counts=counts, proportions=props)
     return _assemble(pop, tails, heads, weights, realized_seed=seed)

@@ -585,3 +585,37 @@ def test_mean_stderr_fewer_than_two_values_is_nan():
     assert np.isfinite(stderr[0]) and np.isnan(stderr[1:]).all()
     mean, stderr = mean_stderr(rows[1:])
     assert mean[:2].tolist() == [0.4, 0.7] and np.isnan(stderr).all()
+
+
+# --------------------------------------------------------------------------
+# refusals: each domain check, with the message that names it
+# --------------------------------------------------------------------------
+
+_Q_TILDE_2 = fixed_point_qtilde(2.0).value  # the largest q1 that still gives q <= 1 at m = 2
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: r0(np.array([[1.0, -0.5], [0.5, 1.0]])), "nonnegative and finite"),
+    (lambda: r0(np.array([[1.0, np.inf], [0.5, 1.0]])), "nonnegative and finite"),
+    (lambda: r0(np.array([[1.0, np.nan], [0.5, 1.0]])), "nonnegative and finite"),
+    (lambda: fixed_point_qtilde(-0.1), "offspring mean must be >= 0"),
+    (lambda: borel_pmf(0.5, 0), "support starts at 1"),
+    (lambda: borel_pmf(0.5, [1, 2, -3]), "support starts at 1"),
+    (lambda: borel_pmf(-0.1, 1), "must be >= 0"),
+    (lambda: borel_pmf(1.5, 1), "defective for m > 1"),
+    (lambda: borel_conditional_pmf(0.8, 0.0, 1), r"q1 must lie in \(0, 1\)"),
+    (lambda: borel_conditional_pmf(0.8, 1.0, 1), r"q1 must lie in \(0, 1\)"),
+    (lambda: borel_conditional_pmf(2.0, _Q_TILDE_2, 1), "require q1 < q_tilde_1"),
+    (lambda: rho21_min(0.8, -0.1, 0.5), r"q1 must lie in \[0, 1\)"),
+    (lambda: rho21_min(0.8, 1.0, 1.0), r"q1 must lie in \[0, 1\)"),
+    (lambda: tv_binomial_poisson(0, 0.5, 1.0), "n_trials must be >= 1"),
+    (lambda: tv_binomial_poisson(10, -0.1, 1.0), r"p must lie in \[0, 1\]"),
+    (lambda: tv_binomial_poisson(10, 1.5, 1.0), r"p must lie in \[0, 1\]"),
+    (lambda: tv_binomial_poisson(10, 0.5, -1.0), "lam must be >= 0"),
+], ids=["r0-negative", "r0-inf", "r0-nan", "qtilde-negative", "borel-ell-0",
+        "borel-ell-negative", "borel-m-negative", "borel-m-above-1", "conditional-q1-0",
+        "conditional-q1-1", "conditional-q1-at-qtilde", "rho21-q1-negative", "rho21-q1-1",
+        "tv-n-0", "tv-p-negative", "tv-p-above-1", "tv-lam-negative"])
+def test_domain_refusals_name_their_input(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()

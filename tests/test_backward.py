@@ -56,6 +56,17 @@ def test_negative_horizon_rejected():
         explore_susceptibility(g, 0, -0.1)
 
 
+@pytest.mark.parametrize("root", [True, False, np.True_])
+def test_roots_refuse_booleans(root):
+    # a bool is an int subclass, so True once searched from vertex 1
+    g = fixture_graph_fig1()
+    message = rf"^root {root!r} is not a vertex id in 0\.\.7$"
+    with pytest.raises(DomainError, match=message):
+        explore_susceptibility(g, root, 1.0)
+    with pytest.raises(DomainError, match=message):
+        restricted_susceptibility_size(g, root, 1, 1)
+
+
 def test_nan_horizon_and_bad_root_rejected():
     g = fixture_graph_fig1()
     with pytest.raises(DomainError, match="t_star"):

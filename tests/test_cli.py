@@ -77,6 +77,14 @@ def test_cli_import_skips_scipy_stats_and_integrate():
     assert _child_stdout(code) == "[]"
 
 
+@pytest.mark.parametrize("module", ["infector.cli", "infector"])
+def test_import_loads_no_scipy(module):
+    # the README promises that importing the CLI loads numpy only; every
+    # command's start-up time rests on it
+    code = f"import sys, {module}; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    assert _child_stdout(code) == "[]"
+
+
 def test_cli_loads_scipy_sparse_only_where_a_graph_is_searched(tmp_path):
     # bp-estimate and bounds never search a graph, so neither they nor
     # the CLI's import load the sparse-graph stack
@@ -452,6 +460,17 @@ def test_verify_subcritical_is_usage_error(tmp_path):
     assert rc == 2
 
 
+def test_verify_subcritical_message_rounds_r0(tmp_path, capsys):
+    # solve_malthusian's refusal, with R0 = 0.1 + 0.1 printed as 0.2
+    cfg = _write_config(tmp_path, single_type_config(n=200, rate=0.1 + 0.1))
+    rc = main(["verify", "--config", cfg, "--replicates", "5",
+               "--output-dir", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == "error: Malthusian parameter requires R0 > 1, got R0 = 0.2\n"
+    assert not (tmp_path / "o" / "verify.csv").exists()
+
+
 def test_verify_passes(tmp_path, capsys):
     cfg = _write_config(tmp_path, symmetric_marked_config(n=1500, seed=3))
     rc = main(["verify", "--config", cfg, "--replicates", "40",
@@ -637,6 +656,29 @@ def test_seed_override_changes_output(tmp_path):
     b = (tmp_path / "b" / "replicates.csv").read_text()
     assert a != b
     assert "seed=99" in b.splitlines()[0]
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["simulate", "--replicates", "4"], ["replicates.csv", "summary.csv"]),
+    (["backward", "--roots-per-type", "2"], ["backward.csv"]),
+    (["bp-estimate", "--type", "2", "--replicates", "20", "--horizon", "4"],
+     ["bp_replicates.csv", "bp_summary.csv"]),
+], ids=["simulate", "backward", "bp-estimate"])
+def test_seed_override_is_the_config_seed(tmp_path, argv, names):
+    # --seed replaces the config's seed, and every stream derives from it:
+    # the outputs equal those of a config written with that seed, save the
+    # header's hash, which stays the hash of the file given
+    cfg = readme_config(400)
+    assert cfg.seed != 7
+    base = _write_config(tmp_path, cfg, "base.json")
+    seeded = _write_config(tmp_path, dataclasses.replace(cfg, seed=7), "seeded.json")
+    for config, extra, out in ((base, ["--seed", "7"], "a"), (seeded, [], "b"), (base, [], "c")):
+        assert main(argv + ["--config", config, "--no-timestamp",
+                            "--output-dir", str(tmp_path / out)] + extra) == 0
+    for name in names:
+        a, b, c = ((tmp_path / out / name).read_text().split("\n", 1) for out in "abc")
+        assert a[1] == b[1] and a[1] != c[1]
+        assert a[0] == c[0].replace(f"seed={cfg.seed}", "seed=7") and a[0] != b[0]
 
 
 def _readme_digests(tmp_path, n, argv, names):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -10,6 +11,7 @@ from scipy import integrate
 from infector.analytic import is_irreducible
 from infector.config import (
     Duration,
+    ExtremalTwoType,
     MarkedSingleProcess,
     MarkovSEIR,
     ModelConfig,
@@ -175,6 +177,20 @@ def test_population_type_index_refuses_bools(j):
         pop.type_index(j)
 
 
+@pytest.mark.parametrize("v", [0, 9, np.int64(4), np.uint8(9)])
+def test_population_vertex_id_accepts_integers(v):
+    pop = PopulationSpec(n=10, counts=[3, 7], proportions=[0.3, 0.7])
+    assert pop.vertex_id(v, "root") == int(v) and type(pop.vertex_id(v, "root")) is int
+
+
+@pytest.mark.parametrize("v", [True, False, np.True_, -1, 10, 2**70, 1.0, 1.5, "1", None])
+def test_population_vertex_id_refuses_non_ids(v):
+    # a bool is an int subclass, so True once passed as vertex 1
+    pop = PopulationSpec(n=10, counts=[3, 7], proportions=[0.3, 0.7])
+    with pytest.raises(DomainError, match=rf"^seed {v!r} is not a vertex id in 0\.\.9$"):
+        pop.vertex_id(v, "seed")
+
+
 # --------------------------------------------------------------------------
 # validation
 # --------------------------------------------------------------------------
@@ -273,6 +289,32 @@ def test_resolve_initial_rejects_non_integers(spec, field):
     pop = PopulationSpec(n=10, counts=[4, 6], proportions=[0.4, 0.6])
     with pytest.raises(ConfigError, match=field):
         resolve_initial(pop, spec)
+
+
+@pytest.mark.parametrize("spec", [[0, 1], [[1, 1]], [], "0", 0])
+def test_resolve_initial_refuses_bare_lists(spec):
+    # only the two documented forms: {"vertices": [...]} and {"per_type": [...]}
+    pop = PopulationSpec(n=10, counts=[4, 6], proportions=[0.4, 0.6])
+    with pytest.raises(ConfigError, match="initial_infecteds must be"):
+        resolve_initial(pop, spec)
+    d = config_to_dict(single_type_config(n=10))
+    d["initial_infecteds"] = spec
+    with pytest.raises(ConfigError, match="initial_infecteds"):
+        config_from_dict(d)
+
+
+@pytest.mark.parametrize("ids", [(2.7,), (0, 0.5), (True,), (np.True_,), ("1",)])
+def test_model_config_refuses_non_integer_initial_infecteds(ids):
+    # int() once truncated 2.7 to vertex 2, and validate_config saw nothing
+    cfg = single_type_config(n=10)
+    with pytest.raises(ConfigError, match="initial_infecteds must be a 64-bit integer"):
+        dataclasses.replace(cfg, initial_infecteds=ids)
+
+
+def test_model_config_keeps_integral_initial_infecteds():
+    cfg = dataclasses.replace(single_type_config(n=10), initial_infecteds=(2.0, np.int64(3)))
+    assert cfg.initial_infecteds == (2, 3)
+    assert all(type(v) is int for v in cfg.initial_infecteds)
 
 
 def test_non_integer_population_counts_rejected():
@@ -483,3 +525,54 @@ def test_json_round_trip_property(p1, m1, m2, seed):
     cfg = marked_config(1000, p1, m1, m2, seed=seed)
     d = config_to_dict(cfg)
     assert config_to_dict(config_from_dict(d)) == d
+
+
+# --------------------------------------------------------------------------
+# refusals no other test reaches
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", ["weibull", "Constant", 3])
+def test_unknown_duration_kind_refused(kind):
+    d = config_to_dict(single_type_config(n=10))
+    d["kernel"]["infectious"][0] = {"kind": kind, "rate": 1.0}
+    with pytest.raises(ConfigError, match=f"unknown duration kind {kind!r}"):
+        config_from_dict(d)
+    with pytest.raises(ConfigError, match=f"unknown duration kind {kind!r}"):
+        Duration(kind)
+
+
+def test_constant_duration_has_no_density():
+    with pytest.raises(DomainError, match="no density"):
+        Duration.constant(1.0).pdf(0.5)
+
+
+@pytest.mark.parametrize("d", [Duration.constant(1.0), Duration.gamma(2.0, 3.0)])
+def test_duration_mean_min_is_zero_at_nonpositive_u(d):
+    assert d.mean_min(0.0) == 0.0 and d.mean_min(-1.0) == 0.0
+
+
+def test_markov_seir_refuses_wrongly_shaped_rates():
+    periods = [Duration.constant(0.0)] * 2
+    for rates in ([[1.0, 2.0]], [[1.0]], [[1.0, 2.0, 3.0]] * 2):
+        with pytest.raises(ConfigError, match="K x K"):
+            MarkovSEIR(periods, [Duration.exponential(1.0)] * 2, rates)
+
+
+def test_extremal_kernel_needs_two_types():
+    periods = [Duration.constant(0.0)] * 3
+    with pytest.raises(ConfigError, match="exactly two types"):
+        ExtremalTwoType(periods, [Duration.exponential(1.0)] * 3, [2.0] * 3, (1, 1))
+
+
+def test_validate_config_reports_kernel_type_count():
+    cfg = symmetric_marked_config(n=100)
+    one_type = single_type_config(n=100).kernel
+    violations = validate_config(dataclasses.replace(cfg, kernel=one_type))
+    assert [v.assumption for v in violations] == ["kernel"]
+    assert "kernel has 1 types, population has 2" in str(violations[0])
+
+
+def test_mean_matrix_refuses_infinite_rates():
+    cfg = single_type_config(n=10, rate=math.inf)
+    with pytest.raises(ConfigError, match="nonfinite"):
+        mean_matrix(cfg)

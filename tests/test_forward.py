@@ -229,6 +229,11 @@ def test_lazy_zero_rate_only_seeds():
     assert res.total_infected == 1
 
 
+def test_replicate_records_refuses_unknown_method():
+    with pytest.raises(DomainError, match="unknown simulation method 'fast'"):
+        replicate_records(single_type_config(n=50), 2, method="fast")
+
+
 def test_lazy_seed_out_of_range():
     cfg = single_type_config(n=50)
     for seed in (-1, 50):

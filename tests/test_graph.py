@@ -21,6 +21,7 @@ from infector.graph import (
     dump_graph,
     fixture_graph_fig1,
     load_graph,
+    seed_vertices,
 )
 from infector.rng import stream
 
@@ -171,6 +172,22 @@ def test_seeded_build_refuses_bad_seeds():
     for seeds in ([-1], [cfg.n], [], [0.5]):
         with pytest.raises(DomainError, match="seed|initially infected"):
             build_graph(cfg, seeds=seeds)
+
+
+@pytest.mark.parametrize("seeds", [[True], [0, True], [np.True_], [False]])
+def test_seeds_refuse_booleans(seeds):
+    # a bool is an int subclass, so True once seeded vertex 1
+    cfg = single_type_config(n=50)
+    with pytest.raises(DomainError, match="is not a vertex id in 0..49"):
+        seed_vertices(seeds, cfg.population)
+    with pytest.raises(DomainError, match="is not a vertex id in 0..49"):
+        build_graph(cfg, seeds=seeds)
+
+
+def test_seed_vertices_sorts_and_dedupes():
+    pop = single_type_config(n=50).population
+    seeds = seed_vertices([7, np.int64(3), 7], pop)
+    assert seeds.tolist() == [3, 7] and seeds.dtype == np.int64
 
 
 def test_seeded_build_of_a_minor_outbreak_holds_only_the_reached_lists(monkeypatch):
@@ -357,6 +374,25 @@ def test_extremal_weight_bands():
 # --------------------------------------------------------------------------
 # serialization
 # --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("text, line, message", [
+    ("4 x 0\n2 2\n0.5 0.5\n", 1, "invalid literal"),
+    ("4 2\n2 2\n0.5 0.5\n", 1, "not enough values"),
+    ("", 1, "not enough values"),
+    ("4 2 0\n2 2\n0.5 0.5 0.5\n", 3,
+     "graph header is inconsistent: k = 2 with 2 counts and 3 proportions"),
+    ("4 2 0\n2\n0.5 0.5\n", 3, "graph header is inconsistent: k = 2 with 1 counts"),
+    ("4 2 0\n2 2\n0.5 0.5\n0 1 0.25\n1 2\n", 5, "not enough values"),
+    ("4 2 0\n2 2\n0.5 0.5\n0 1 0.25 7\n", 4, "too many values"),
+    ("4 2 0\n2 2\n0.5 0.5\n0 1 w\n", 4, "could not convert"),
+], ids=["header-not-int", "header-two-fields", "empty", "proportions-too-long",
+        "counts-too-short", "edge-two-fields", "edge-four-fields", "edge-weight"])
+def test_load_graph_refuses_malformed_lines_by_number(tmp_path, text, line, message):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"line {line}: {message}"):
+        load_graph(path)
+
 
 def test_dump_load_round_trip(tmp_path):
     g = build_graph(marked_config(300, 0.3, 3.0, 2.0, seed=9))
